@@ -113,12 +113,13 @@ class GaussianLayerPosterior:
         self.threshold = chi_square_quantile(self.m, self.epsilon_quantile)
 
     def split_tensors(self, flat: np.ndarray) -> dict:
-        """Slice a flat parameter vector back into named tensors."""
+        """Slice flat parameter vectors (..., m) back into named tensors
+        (..., *shape), keeping any leading axes such as a draw axis."""
         out = {}
         pos = 0
         for name, shape in self.tensor_shapes:
             size = int(np.prod(shape)) if shape else 1
-            out[name] = flat[pos:pos + size].reshape(shape)
+            out[name] = flat[..., pos:pos + size].reshape(flat.shape[:-1] + tuple(shape))
             pos += size
         return out
 
@@ -200,55 +201,58 @@ def sample_layer_weights(post: GaussianLayerPosterior, rng: Rng,
 
 
 def mc_predict(model: Model, posteriors: list, x: np.ndarray,
-               cfg: EnsembleConfig, stream: tuple = ()) -> list:
-    """T_mc forward passes with independently sampled selected-layer weights.
+               cfg: EnsembleConfig, stream: tuple = ()):
+    """T_mc forward passes of one input with independently sampled
+    selected-layer weights, run as one batched pass.
 
     For sample index t, the weights of each selected layer come from the
     child generator split at (seed, *stream, t, layer-index), so results are
-    identical under any parallel schedule. Returns [(logits, box), ...].
+    identical under any parallel schedule. The layers before the first
+    selected one run once; the rest run once over a leading draw axis of
+    length T. Returns (logits (T, K), boxes (T, 4) or None).
     """
     base = Rng(cfg.seed)
     by_name = {p.layer_name: p for p in posteriors}
-    layer_index = {l.name: i for i, l in enumerate(model.layers)}
-    x = np.asarray(x, dtype=np.float64)[None]
-    results = []
-    for t in range(cfg.sample_count):
-        layers = []
-        for layer in model.layers:
-            post = by_name.get(layer.name)
-            if post is None:
-                layers.append(layer)
-                continue
-            rng = base.split(*stream, t, layer_index[layer.name])
-            flat = sample_layer_weights(post, rng, cfg.max_rejection_attempts)
-            params = dict(layer.params)
-            params.update(post.split_tensors(flat))
-            layers.append(LayerSpec(layer.name, layer.kind, params,
-                                    stride=layer.stride, padding=layer.padding))
-        sampled = Model(layers, model.backbone_end, model.class_count,
-                        model.has_box_head)
-        logits, boxes, _ = forward_batch(sampled, x)
-        results.append((logits[0], boxes[0] if boxes is not None else None))
-    return results
+    layers = []
+    for i, layer in enumerate(model.layers):
+        post = by_name.get(layer.name)
+        if post is None:
+            layers.append(layer)
+            continue
+        flat = np.stack([
+            sample_layer_weights(post, base.split(*stream, t, i), cfg.max_rejection_attempts)
+            for t in range(cfg.sample_count)])
+        params = dict(layer.params)
+        params.update(post.split_tensors(flat))
+        layers.append(LayerSpec(layer.name, layer.kind, params,
+                                stride=layer.stride, padding=layer.padding))
+    sampled = Model(layers, model.backbone_end, model.class_count,
+                    model.has_box_head)
+    logits, boxes, _ = forward_batch(sampled, np.asarray(x, dtype=np.float64)[None])
+    if logits.ndim == 2:  # nothing sampled: every draw is the deterministic pass
+        return (np.repeat(logits, cfg.sample_count, axis=0),
+                None if boxes is None else np.repeat(boxes, cfg.sample_count, axis=0))
+    return logits[:, 0], None if boxes is None else boxes[:, 0]
 
 
-def predictive_mean(samples: list):
-    """Ensemble summary: (mean softmax vector, mean box or None,
-    per-logit variance). Variance is the unbiased estimator (zero for a
+def predictive_mean(logits: np.ndarray, boxes: np.ndarray | None = None):
+    """Ensemble summary of logits (..., T, K) and boxes (..., T, 4) or None:
+    (mean softmax vector (..., K), mean box (..., 4) or None, per-logit
+    variance (..., K)). Variance is the unbiased estimator (zero for a
     single sample)."""
-    if not samples:
-        raise ValueError("empty sample list")
-    probs = np.stack([softmax(logits) for logits, _ in samples])
-    logits = np.stack([logits for logits, _ in samples])
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim < 2 or logits.shape[-2] == 0:
+        raise ValueError("empty ensemble")
     # a collapsed ensemble must summarize exactly like a single pass
-    degenerate = bool(np.all(logits == logits[0]))
-    boxes = None
-    if samples[0][1] is not None:
-        stacked = np.stack([b for _, b in samples])
-        boxes = stacked[0] if degenerate else stacked.mean(axis=0)
-    if len(samples) == 1 or degenerate:
-        var = np.zeros(logits.shape[1])
+    degenerate = np.all(logits == logits[..., :1, :], axis=(-2, -1))[..., None]
+    probs = softmax(logits)
+    mean_probs = np.where(degenerate, probs[..., 0, :], probs.mean(axis=-2))
+    mean_box = None
+    if boxes is not None:
+        boxes = np.asarray(boxes, dtype=np.float64)
+        mean_box = np.where(degenerate, boxes[..., 0, :], boxes.mean(axis=-2))
+    if logits.shape[-2] == 1:
+        var = np.zeros(logits.shape[:-2] + logits.shape[-1:])
     else:
-        var = logits.var(axis=0, ddof=1)
-    mean_probs = probs[0] if degenerate else probs.mean(axis=0)
-    return mean_probs, boxes, var
+        var = np.where(degenerate, 0.0, logits.var(axis=-2, ddof=1))
+    return mean_probs, mean_box, var

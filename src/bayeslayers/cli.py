@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -25,9 +25,10 @@ from .bayes import (EnsembleConfig, SamplerExhaustedError, SelectionPolicy,
 from .metrics import (BenchmarkReport, ScoreSet, auroc, fpr_at_tpr,
                       id_task_metrics, roc_curve, roc_to_csv)
 from .network import (PersistenceError, TrainConfig, TrainingDivergedError,
-                      PRESETS, build_model, load_model, save_model, train_sgd)
-from .scoring import (AGGREGATIONS, ScoringConfig, calibrate_gamma,
-                      nll, score_ensemble)
+                      PRESETS, build_model, forward_batch, load_model,
+                      save_model, train_sgd)
+from .scoring import (AGGREGATIONS, OodScoreRecord, ScoringConfig,
+                      calibrate_gamma, nll, score_ensemble)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,10 +39,27 @@ EXIT_SAMPLER = 5
 _RUN_KEYS = {"dataset", "architecture", "train", "policy", "layers", "alpha",
              "q", "t_mc", "temperature", "phi", "aggregation", "tpr_target",
              "seed", "threads"}
+_RUN_TYPES = {"alpha": float, "q": float, "t_mc": int, "temperature": float,
+              "phi": float, "tpr_target": float, "seed": int, "threads": int}
+# `train` keys: the TrainConfig fields; its seed is the run's seed
+_TRAIN_FIELDS = {f.name: f for f in fields(TrainConfig) if f.name != "seed"}
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _check_types(section: str, values: dict, types: dict) -> None:
+    """Reject a value that is not of its key's type: an int field takes
+    only integers, a float field any number; booleans are neither."""
+    for key, want in types.items():
+        value = values.get(key)
+        if value is None:
+            continue
+        ok = isinstance(value, int if want is int else (int, float))
+        if isinstance(value, bool) or not ok:
+            kind = "an integer" if want is int else "a number"
+            raise ConfigError(f"{section}{key} must be {kind}, got {value!r}")
 
 
 @dataclass
@@ -62,6 +80,13 @@ class RunConfig:
     threads: int | None = None
 
     def __post_init__(self):
+        _check_types("", vars(self), _RUN_TYPES)
+        if not isinstance(self.train, dict):
+            raise ConfigError("train must be an object")
+        unknown = set(self.train) - set(_TRAIN_FIELDS)
+        if unknown:
+            raise ConfigError(f"unknown train keys: {sorted(unknown)}")
+        _check_types("train.", self.train, {k: f.type for k, f in _TRAIN_FIELDS.items()})
         if self.architecture not in PRESETS:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
         if self.policy not in POLICIES:
@@ -74,6 +99,8 @@ class RunConfig:
             raise ConfigError("q must be in [0, 1)")
         if self.t_mc < 1:
             raise ConfigError("t_mc must be >= 1")
+        if self.threads is not None and self.threads < 1:
+            raise ConfigError("threads must be >= 1")
         if self.temperature <= 0 or self.phi <= 0:
             raise ConfigError("temperature and phi must be positive")
         if not 0 < self.tpr_target <= 1:
@@ -81,6 +108,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
         unknown = set(raw) - _RUN_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -107,12 +136,12 @@ def load_config(path: str, seed: int | None = None,
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    cfg = RunConfig.from_dict(raw)
-    if seed is not None:
-        cfg.seed = seed
-    if threads is not None:
-        cfg.threads = threads
-    return cfg
+    if isinstance(raw, dict):
+        if seed is not None:
+            raw["seed"] = seed
+        if threads is not None:
+            raw["threads"] = threads
+    return RunConfig.from_dict(raw)
 
 
 def resolve_dataset(cfg: RunConfig) -> datasets.BenchmarkPairing:
@@ -134,6 +163,10 @@ def build_and_train(cfg: RunConfig, pairing: datasets.BenchmarkPairing):
     first = pairing.id_train[0]
     k = max(s.label for s in pairing.id_train) + 1
     has_box = first.box is not None
+    missing = [key for key, f in _TRAIN_FIELDS.items()
+               if f.default is MISSING and key not in cfg.train]
+    if missing:
+        raise ConfigError(f"train needs keys {missing}")
     model = build_model(cfg.architecture, first.input.shape, k,
                         has_box_head=has_box, seed=cfg.seed)
     train_cfg = TrainConfig(seed=cfg.seed, **cfg.train)
@@ -142,53 +175,69 @@ def build_and_train(cfg: RunConfig, pairing: datasets.BenchmarkPairing):
 
 def _thread_count(cfg: RunConfig) -> int:
     if cfg.threads is not None:
-        return max(1, cfg.threads)
+        return cfg.threads
     env = os.environ.get("BAYESLAYERS_THREADS")
     return max(1, int(env)) if env else 1
 
 
-def evaluate_pairing(model, pairing, cfg: RunConfig):
-    """Score every test sample with the MC ensemble and compute the report.
+def _ensemble_logits(model, samples, cfg: RunConfig):
+    """Ensemble logits (N, T, K) and boxes (N, T, 4) or None of `samples`.
 
-    Results are gathered positionally and each sample uses child generator
-    streams keyed by its index, so output is independent of the worker
-    count.
+    Sample i draws its weights from the child generator streams keyed by
+    (i,), so results do not depend on the worker count. An empty selection
+    draws nothing: it is one batched deterministic forward, with T = 1.
     """
-    t0 = time.perf_counter()
+    inputs = [s.input for s in samples]
     selection = select_layers(model, SelectionPolicy(cfg.policy, cfg.layers))
+    if not selection:
+        logits, boxes, _ = forward_batch(model, np.stack(inputs))
+        return logits[:, None], None if boxes is None else boxes[:, None]
     posteriors = build_posteriors(model, selection, cfg.alpha, cfg.q)
     ens_cfg = EnsembleConfig(sample_count=cfg.t_mc, seed=cfg.seed)
-    score_cfg = ScoringConfig(cfg.temperature, cfg.phi, cfg.aggregation)
-    test = list(pairing.id_test) + list(pairing.ood_test)
 
     def work(item):
-        idx, sample = item
-        ensemble = mc_predict(model, posteriors, sample.input, ens_cfg, stream=(idx,))
-        record = score_ensemble(ensemble, score_cfg, sample_id=idx,
-                                is_id_truth=(sample.tag == "id"))
-        mean_probs, mean_box, _ = predictive_mean(ensemble)
-        record.predicted_class = int(np.argmax(mean_probs))
-        record.predicted_box = mean_box
-        return record, mean_probs
+        idx, x = item
+        return mc_predict(model, posteriors, x, ens_cfg, stream=(idx,))
 
     workers = _thread_count(cfg)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, enumerate(test)))
+            results = list(pool.map(work, enumerate(inputs)))
     else:
-        results = [work(item) for item in enumerate(test)]
+        results = [work(item) for item in enumerate(inputs)]
+    logits = np.stack([lg for lg, _ in results])
+    boxes = None if results[0][1] is None else np.stack([b for _, b in results])
+    return logits, boxes
 
-    records = [r for r, _ in results]
+
+def _scoring_config(cfg: RunConfig) -> ScoringConfig:
+    return ScoringConfig(cfg.temperature, cfg.phi, cfg.aggregation)
+
+
+def evaluate_pairing(model, pairing, cfg: RunConfig):
+    """Score every test sample (ID first, then OOD) with the MC ensemble and
+    compute the report."""
+    t0 = time.perf_counter()
+    test = list(pairing.id_test) + list(pairing.ood_test)
+    logits, boxes = _ensemble_logits(model, test, cfg)
+    score, score_std, energy_mean = score_ensemble(logits, _scoring_config(cfg))
+    mean_probs, mean_box, _ = predictive_mean(logits, boxes)
+    predicted = np.argmax(mean_probs, axis=-1)
+    records = [
+        OodScoreRecord(sample_id=i, energy_mean=float(energy_mean[i]),
+                       score=float(score[i]), score_std=float(score_std[i]),
+                       is_id_truth=(s.tag == "id"), predicted_class=int(predicted[i]),
+                       predicted_box=None if mean_box is None else mean_box[i])
+        for i, s in enumerate(test)]
+
     n_id = len(pairing.id_test)
     id_records = records[:n_id]
-    ood_records = records[n_id:]
-    scores = ScoreSet([r.score for r in id_records], [r.score for r in ood_records])
+    scores = ScoreSet(score[:n_id], score[n_id:])
     gamma = calibrate_gamma(scores.id_scores, cfg.tpr_target)
     predictions = [(r.predicted_class, r.predicted_box) for r in id_records]
     truths = [(s.label, s.box) for s in pairing.id_test]
     accuracy, det_accuracy = id_task_metrics(predictions, truths)
-    id_nll = nll([(probs, s.label) for (_, probs), s in
-                  zip(results[:n_id], pairing.id_test)])
+    id_nll = nll(zip(mean_probs[:n_id], (s.label for s in pairing.id_test)))
     report = BenchmarkReport(
         fpr95=fpr_at_tpr(scores, cfg.tpr_target),
         auroc=auroc(scores),
@@ -260,12 +309,16 @@ def cmd_calibrate(cfg: RunConfig, model_path: str, out_dir: str) -> int:
     _require_dir(out_dir)
     model = load_model(model_path)
     pairing = resolve_dataset(cfg)
-    report, _, _ = evaluate_pairing(model, pairing, cfg)
-    doc = {"gamma": report.gamma, "tpr_target": cfg.tpr_target, "seed": cfg.seed}
+    # gamma depends on the ID scores alone; ID inputs lead the test list, so
+    # they keep the streams they draw from in `eval`
+    logits, _ = _ensemble_logits(model, pairing.id_test, cfg)
+    score, _, _ = score_ensemble(logits, _scoring_config(cfg))
+    gamma = calibrate_gamma(score, cfg.tpr_target)
+    doc = {"gamma": gamma, "tpr_target": cfg.tpr_target, "seed": cfg.seed}
     with open(os.path.join(out_dir, "gamma.json"), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"gamma = {report.gamma:.9g} at tpr_target {cfg.tpr_target}")
+    print(f"gamma = {gamma:.9g} at tpr_target {cfg.tpr_target}")
     return EXIT_OK
 
 
@@ -283,19 +336,29 @@ def cmd_ablate_layers(cfg: RunConfig, model_path: str, out_dir: str) -> int:
     _require_dir(out_dir)
     model = load_model(model_path)
     pairing = resolve_dataset(cfg)
+    # policies that resolve to the same layers share one evaluation
+    by_selection = {}
     rows = []
     for policy in POLICIES:
         sub = copy.deepcopy(cfg)
         sub.policy = policy
         sub.layers = None
-        report, _, _ = evaluate_pairing(model, pairing, sub)
+        key = tuple(select_layers(model, policy))
+        if key not in by_selection:
+            report, _, _ = evaluate_pairing(model, pairing, sub)
+            by_selection[key] = report.metrics_dict()
         row = {"policy": policy, "seed": sub.seed}
-        row.update(report.metrics_dict())
+        row.update(by_selection[key])
         rows.append(row)
+    # the paper's quantity: each policy against the deterministic network
+    for row in rows:
+        for key in ("auroc", "fpr95", "nll"):
+            row[f"delta_{key}"] = row[key] - rows[0][key]
     with open(os.path.join(out_dir, "ablation.json"), "w") as fh:
         json.dump(rows, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    cols = ["policy", "seed", "fpr95", "auroc", "id_accuracy", "gamma"]
+    cols = ["policy", "seed", "fpr95", "auroc", "id_accuracy", "gamma",
+            "delta_auroc", "delta_fpr95", "delta_nll"]
     with open(os.path.join(out_dir, "ablation.csv"), "w") as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:

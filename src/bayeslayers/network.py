@@ -59,6 +59,10 @@ LEARNABLE = {
     "flatten": (),
 }
 
+# Rank of each kind's first learnable tensor in a plain layer; sampled layers
+# carry one more, a leading draw axis.
+_WEIGHT_RANK = {"conv2d": 4, "linear": 2, "batchnorm": 1}
+
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.9
 
@@ -88,6 +92,16 @@ class LayerSpec:
         if self.kind == "batchnorm" and "running_var" in self.params:
             if np.any(np.asarray(self.params["running_var"]) <= 0):
                 raise ValueError(f"layer {self.name!r}: running variance must be positive")
+
+    @property
+    def draws(self) -> int:
+        """Length of the leading draw axis of sampled weights (one weight
+        set per Monte-Carlo draw on every learnable tensor), 0 if none."""
+        learnable = LEARNABLE[self.kind]
+        if not learnable:
+            return 0
+        w = self.params.get(learnable[0])
+        return w.shape[0] if np.ndim(w) > _WEIGHT_RANK[self.kind] else 0
 
 
 @dataclass
@@ -143,20 +157,24 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 def _fwd_conv(layer, x, training):
-    if x.ndim != 4:
-        raise ShapeError(f"layer {layer.name!r}: expected (N,C,H,W), got {x.shape}")
     w, b = layer.params["weight"], layer.params["bias"]
-    f, c, kh, kw = w.shape
-    if x.shape[1] != c:
-        raise ShapeError(f"layer {layer.name!r}: channel mismatch {x.shape[1]} vs {c}")
+    if x.ndim != w.ndim:
+        raise ShapeError(f"layer {layer.name!r}: expected (N,C,H,W), got {x.shape}")
+    f, c, kh, kw = w.shape[-4:]
+    if x.shape[-3] != c:
+        raise ShapeError(f"layer {layer.name!r}: channel mismatch {x.shape[-3]} vs {c}")
     try:
-        cols = im2col(x, kh, kw, layer.stride, layer.padding)
+        cols = im2col(x.reshape((-1,) + x.shape[-3:]), kh, kw, layer.stride, layer.padding)
     except ShapeError as exc:
         raise ShapeError(f"layer {layer.name!r}: {exc}") from exc
-    out = np.einsum("fk,nkl->nfl", w.reshape(f, -1), cols) + b[None, :, None]
-    ho = (x.shape[2] + 2 * layer.padding - kh) // layer.stride + 1
-    wo = (x.shape[3] + 2 * layer.padding - kw) // layer.stride + 1
-    return out.reshape(x.shape[0], f, ho, wo), (x.shape, cols)
+    # With sampled weights (T, F, C, kh, kw), x is (1 or T, N, C, H, W): at
+    # the first sampled layer one im2col serves all T kernel sets.
+    cols = cols.reshape(x.shape[:-3] + cols.shape[1:])
+    out = (np.einsum("...fk,...nkl->...nfl", w.reshape(w.shape[:-3] + (-1,)), cols)
+           + b[..., None, :, None])
+    ho = (x.shape[-2] + 2 * layer.padding - kh) // layer.stride + 1
+    wo = (x.shape[-1] + 2 * layer.padding - kw) // layer.stride + 1
+    return out.reshape(out.shape[:-1] + (ho, wo)), (x.shape, cols)
 
 
 def _bwd_conv(layer, dout, cache):
@@ -172,13 +190,14 @@ def _bwd_conv(layer, dout, cache):
 
 
 def _fwd_linear(layer, x, training):
-    if x.ndim != 2:
-        raise ShapeError(f"layer {layer.name!r}: expected (N,D), got {x.shape}")
     w, b = layer.params["weight"], layer.params["bias"]
-    if x.shape[1] != w.shape[1]:
+    if x.ndim != w.ndim:
+        raise ShapeError(f"layer {layer.name!r}: expected (N,D), got {x.shape}")
+    if x.shape[-1] != w.shape[-1]:
         raise ShapeError(
-            f"layer {layer.name!r}: input width {x.shape[1]} vs weight {w.shape}")
-    return x @ w.T + b, x
+            f"layer {layer.name!r}: input width {x.shape[-1]} vs weight {w.shape}")
+    # sampled weights (T, out, in) meet x as (1 or T, N, in)
+    return x @ w.swapaxes(-1, -2) + b[..., None, :], x
 
 
 def _bwd_linear(layer, dout, cache):
@@ -196,14 +215,18 @@ def _bn_axes(x):
 
 
 def _bn_reshape(v, x):
-    return v.reshape(1, -1, 1, 1) if x.ndim == 4 else v.reshape(1, -1)
+    """Per-channel v, (C,) or (T, C) with one row per draw, shaped to
+    broadcast along the channel axis of x, an (N, C[, H, W]) batch."""
+    return v.reshape(v.shape[:-1] + ((1, -1, 1, 1) if x.ndim == 4 else (1, -1)))
 
 
 def _fwd_batchnorm(layer, x, training):
-    axes = _bn_axes(x)
     scale, shift = layer.params["scale"], layer.params["shift"]
-    if x.shape[1] != scale.shape[0]:
-        raise ShapeError(f"layer {layer.name!r}: channel mismatch {x.shape[1]} vs {scale.shape[0]}")
+    # sampled (T, C) affines meet x as (1 or T, N, C[, H, W])
+    batch = x[0] if scale.ndim == 2 else x
+    axes = _bn_axes(batch)
+    if batch.shape[1] != scale.shape[-1]:
+        raise ShapeError(f"layer {layer.name!r}: channel mismatch {batch.shape[1]} vs {scale.shape[-1]}")
     if training:
         mean = x.mean(axis=axes)
         var = x.var(axis=axes)
@@ -215,8 +238,8 @@ def _fwd_batchnorm(layer, x, training):
         mean = layer.params["running_mean"]
         var = layer.params["running_var"]
     inv_std = 1.0 / np.sqrt(var + _BN_EPS)
-    xhat = (x - _bn_reshape(mean, x)) * _bn_reshape(inv_std, x)
-    out = xhat * _bn_reshape(scale, x) + _bn_reshape(shift, x)
+    xhat = (x - _bn_reshape(mean, batch)) * _bn_reshape(inv_std, batch)
+    out = xhat * _bn_reshape(scale, batch) + _bn_reshape(shift, batch)
     return out, (xhat, inv_std, axes, training)
 
 
@@ -293,21 +316,34 @@ def forward_batch(model: Model, x: np.ndarray, training: bool = False,
 
     Returns (logits (N,K), boxes (N,4) or None, caches). In inference mode
     batchnorm uses frozen running statistics.
+
+    Sampled layers (see `LayerSpec.draws`) carry T weight sets. The layers
+    before the first of them run once; from there on every activation has
+    a leading draw axis, which plain layers see as T * N batch rows, and
+    the outputs become logits (T,N,K) and boxes (T,N,4).
     """
     if not model.layers:
         raise ShapeError("model has no layers; forward is undefined")
     x = np.asarray(x, dtype=np.float64)
     caches = []
+    drawn = False  # whether x carries the leading draw axis
     for layer in model.layers:
-        x, cache = _FWD[layer.kind](layer, x, training)
+        if layer.draws:
+            x, cache = _FWD[layer.kind](layer, x if drawn else x[None], training)
+            drawn = True
+        elif drawn:
+            out, cache = _FWD[layer.kind](layer, x.reshape((-1,) + x.shape[2:]), training)
+            x = out.reshape(x.shape[:2] + out.shape[1:])
+        else:
+            x, cache = _FWD[layer.kind](layer, x, training)
         caches.append(cache if want_caches else None)
-    if x.ndim != 2 or x.shape[1] != model.head_width:
+    if x.ndim != 2 + drawn or x.shape[-1] != model.head_width:
         raise ShapeError(
             f"final layer produced shape {x.shape}, expected (N, {model.head_width})")
     if not np.all(np.isfinite(x)):
         raise NumericsError("forward pass produced non-finite outputs")
-    logits = x[:, :model.class_count]
-    boxes = x[:, model.class_count:] if model.has_box_head else None
+    logits = x[..., :model.class_count]
+    boxes = x[..., model.class_count:] if model.has_box_head else None
     return logits, boxes, caches
 
 

@@ -187,19 +187,21 @@ def flatten(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float64).reshape(-1)
 
 
-def log_sum_exp(v: np.ndarray) -> float:
-    """log(sum(exp(v))) via max subtraction; finite for any finite input."""
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if v.size == 0:
+def log_sum_exp(v: np.ndarray):
+    """log(sum(exp(v))) over the last axis via max subtraction; finite for
+    any finite input. A float for a vector, an array for a stack of them."""
+    v = np.atleast_1d(np.asarray(v, dtype=np.float64))
+    if v.shape[-1] == 0:
         raise ShapeError("log_sum_exp of an empty vector")
-    m = float(np.max(v))
-    return m + float(np.log(np.sum(np.exp(v - m))))
+    m = v.max(axis=-1)
+    return (m + np.log(np.sum(np.exp(v - m[..., None]), axis=-1)))[()]
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
-    """Probability vector exp(v - lse(v)); entries in [0,1], sums to 1."""
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if v.size == 0:
+    """Probability vectors exp(v - lse(v)) over the last axis; entries in
+    [0,1], each vector sums to 1."""
+    v = np.atleast_1d(np.asarray(v, dtype=np.float64))
+    if v.shape[-1] == 0:
         raise ShapeError("softmax of an empty vector")
-    e = np.exp(v - np.max(v))
-    return e / np.sum(e)
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)

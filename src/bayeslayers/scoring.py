@@ -53,63 +53,50 @@ class OodScoreRecord:
     predicted_box: np.ndarray | None = None
 
 
-def energy(logits: np.ndarray, temperature: float = 1.0) -> float:
-    """-Temp * log(sum(exp(logits))); finite for any finite logits."""
+def energy(logits: np.ndarray, temperature: float = 1.0):
+    """-Temp * log(sum(exp(logits))) over the last axis; finite for any
+    finite logits."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     return -temperature * log_sum_exp(logits)
 
 
-def uncertainty_score(e: float, phi: float = 1.0) -> float:
-    """Logistic of -phi*E: strictly decreasing in E, range (0, 1)."""
+def uncertainty_score(e, phi: float = 1.0):
+    """Logistic of -phi*E, elementwise: strictly decreasing in E, range (0, 1)."""
     if phi <= 0:
         raise ValueError("phi must be positive")
-    x = -phi * e
+    x = -phi * np.asarray(e, dtype=np.float64)
     # overflow-safe logistic
-    if x >= 0:
-        s = 1.0 / (1.0 + math.exp(-x))
-    else:
-        ex = math.exp(x)
-        s = ex / (1.0 + ex)
+    z = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
     # keep the range open: saturation would otherwise round to exactly 0 or 1
-    return min(max(s, 5e-324), 1.0 - 2.0 ** -53)
+    return np.clip(s, 5e-324, 1.0 - 2.0 ** -53)[()]
 
 
-def score_ensemble(samples: list, cfg: ScoringConfig,
-                   sample_id: int = 0, is_id_truth: bool = True) -> OodScoreRecord:
-    """Fold an MC ensemble of (logits, box) pairs into one score record.
+def score_ensemble(logits: np.ndarray, cfg: ScoringConfig):
+    """Fold MC ensembles of logits (..., T, K) into (score, score_std,
+    energy_mean), each of shape (...).
 
     mean_score: mean of per-sample scores; score_of_mean_logits: one score
     on the ensemble-mean logits. score_std is always the population standard
     deviation of the per-sample scores.
     """
-    if not samples:
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim < 2 or logits.shape[-2] == 0:
         raise ValueError("empty ensemble")
-    energies = np.array([energy(logits, cfg.temperature) for logits, _ in samples])
-    per_sample = np.array([uncertainty_score(e, cfg.phi) for e in energies])
-    degenerate = bool(np.all(per_sample == per_sample[0]))
+    energies = energy(logits, cfg.temperature)
+    per_sample = uncertainty_score(energies, cfg.phi)
+    # a collapsed ensemble must score exactly like a single pass
+    degenerate = np.all(per_sample == per_sample[..., :1], axis=-1)
     if cfg.aggregation == "mean_score":
-        # a collapsed ensemble must score exactly like a single pass
-        score = float(per_sample[0]) if degenerate else float(per_sample.mean())
+        score = np.where(degenerate, per_sample[..., 0], per_sample.mean(axis=-1))
     else:
-        stacked = np.stack([logits for logits, _ in samples])
-        mean_logits = stacked[0] if degenerate else stacked.mean(axis=0)
+        mean_logits = np.where(degenerate[..., None], logits[..., 0, :],
+                               logits.mean(axis=-2))
         score = uncertainty_score(energy(mean_logits, cfg.temperature), cfg.phi)
-    stacked = np.stack([logits for logits, _ in samples])
-    mean_logits = stacked[0] if degenerate else stacked.mean(axis=0)
-    mean_box = None
-    if samples[0][1] is not None:
-        boxes = np.stack([b for _, b in samples])
-        mean_box = boxes[0] if degenerate else boxes.mean(axis=0)
-    return OodScoreRecord(
-        sample_id=sample_id,
-        energy_mean=float(energies[0]) if degenerate else float(energies.mean()),
-        score=score,
-        score_std=0.0 if degenerate else float(per_sample.std()),  # population estimator
-        is_id_truth=is_id_truth,
-        predicted_class=int(np.argmax(mean_logits)),
-        predicted_box=mean_box,
-    )
+    energy_mean = np.where(degenerate, energies[..., 0], energies.mean(axis=-1))
+    score_std = np.where(degenerate, 0.0, per_sample.std(axis=-1))  # population estimator
+    return score[()], score_std[()], energy_mean[()]
 
 
 def calibrate_gamma(id_scores, tpr_target: float = 0.95) -> float:

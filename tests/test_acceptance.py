@@ -190,18 +190,19 @@ def test_criterion_07_degenerate_ensemble():
     x = np.random.default_rng(105).uniform(size=(1, 16, 16))
     base_logits, base_box = forward(model, x)
 
-    samples = mc_predict(model, [], x, EnsembleConfig(sample_count=10, seed=0))
-    for logits, box in samples:
-        assert np.array_equal(logits, base_logits)
+    logits, boxes = mc_predict(model, [], x, EnsembleConfig(sample_count=10, seed=0))
+    assert len(logits) == len(boxes) == 10
+    for row, box in zip(logits, boxes):
+        assert np.array_equal(row, base_logits)
         assert np.array_equal(box, base_box)
-    record = score_ensemble(samples, ScoringConfig())
-    assert record.score_std == 0.0
+    _, score_std, _ = score_ensemble(logits, ScoringConfig())
+    assert score_std == 0.0
 
     posteriors = build_posteriors(model, select_layers(model, "full"), 0.05)
     for post in posteriors:
         post.sigma = 1e-12
-    samples = mc_predict(model, posteriors, x, EnsembleConfig(sample_count=10, seed=0))
-    worst = max(float(np.max(np.abs(logits - base_logits))) for logits, _ in samples)
+    logits, _ = mc_predict(model, posteriors, x, EnsembleConfig(sample_count=10, seed=0))
+    worst = max(float(np.max(np.abs(row - base_logits))) for row in logits)
     check(7, worst <= 1e-6,
           f"policy none bit-exact with score_std 0; sigma=1e-12 ensemble "
           f"within {worst:.1e} of the deterministic forward")

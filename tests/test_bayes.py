@@ -9,7 +9,7 @@ from bayeslayers.bayes import (EnsembleConfig, GaussianLayerPosterior,
                                chi_square_quantile, mc_predict,
                                predictive_mean, sample_layer_weights,
                                select_layers)
-from bayeslayers.network import LayerSpec, Model, build_model, forward
+from bayeslayers.network import LayerSpec, Model, build_model, forward, forward_batch
 from bayeslayers.numerics import Rng
 
 
@@ -164,11 +164,11 @@ def test_mc_predict_empty_selection_is_deterministic():
     model = build_model("micro-mlp", (2,), 3, seed=5)
     x = np.array([0.5, 1.5])
     base_logits = forward(model, x)[0]
-    samples = mc_predict(model, [], x, EnsembleConfig(sample_count=5, seed=0))
-    assert len(samples) == 5
-    for logits, box in samples:
-        assert np.array_equal(logits, base_logits)
-        assert box is None
+    logits, boxes = mc_predict(model, [], x, EnsembleConfig(sample_count=5, seed=0))
+    assert logits.shape == (5, 3)
+    for row in logits:
+        assert np.array_equal(row, base_logits)
+    assert boxes is None
 
 
 def test_mc_predict_vanishing_width():
@@ -179,9 +179,9 @@ def test_mc_predict_vanishing_width():
     posteriors = build_posteriors(model, selection, alpha=0.05)
     for post in posteriors:
         post.sigma = 1e-12
-    samples = mc_predict(model, posteriors, x, EnsembleConfig(sample_count=10, seed=0))
-    for logits, _ in samples:
-        assert np.max(np.abs(logits - base_logits)) <= 1e-6
+    logits, _ = mc_predict(model, posteriors, x, EnsembleConfig(sample_count=10, seed=0))
+    for row in logits:
+        assert np.max(np.abs(row - base_logits)) <= 1e-6
 
 
 def test_mc_predict_stream_determinism():
@@ -189,17 +189,69 @@ def test_mc_predict_stream_determinism():
     x = np.array([1.0, -1.0])
     posteriors = build_posteriors(model, select_layers(model, "linear_all"), 0.05)
     cfg = EnsembleConfig(sample_count=4, seed=9)
-    a = mc_predict(model, posteriors, x, cfg, stream=(17,))
-    b = mc_predict(model, posteriors, x, cfg, stream=(17,))
-    c = mc_predict(model, posteriors, x, cfg, stream=(18,))
-    for (la, _), (lb, _) in zip(a, b):
+    a, _ = mc_predict(model, posteriors, x, cfg, stream=(17,))
+    b, _ = mc_predict(model, posteriors, x, cfg, stream=(17,))
+    c, _ = mc_predict(model, posteriors, x, cfg, stream=(18,))
+    for la, lb in zip(a, b):
         assert np.array_equal(la, lb)
-    assert not np.array_equal(a[0][0], c[0][0])
+    assert not np.array_equal(a[0], c[0])
+
+
+def per_draw_reference(model, posteriors, x, cfg, stream):
+    """One model and one forward_batch per draw; draw t of the layer at
+    index i takes its weights from the split(*stream, t, i) stream."""
+    by_name = {p.layer_name: p for p in posteriors}
+    logits, boxes = [], []
+    for t in range(cfg.sample_count):
+        layers = []
+        for i, layer in enumerate(model.layers):
+            post = by_name.get(layer.name)
+            if post is not None:
+                flat = sample_layer_weights(post, Rng(cfg.seed).split(*stream, t, i))
+                params = dict(layer.params)
+                params.update(post.split_tensors(flat))
+                layer = LayerSpec(layer.name, layer.kind, params,
+                                  stride=layer.stride, padding=layer.padding)
+            layers.append(layer)
+        drawn = Model(layers, model.backbone_end, model.class_count, model.has_box_head)
+        lg, bx, _ = forward_batch(drawn, np.asarray(x, dtype=np.float64)[None])
+        logits.append(lg[0])
+        boxes.append(None if bx is None else bx[0])
+    return np.stack(logits), None if boxes[0] is None else np.stack(boxes)
+
+
+ENGINE_CASES = [
+    ("micro-mlp", (2,), "linear_all"),
+    ("micro-cnn", (1, 16, 16), "conv_all"),
+    ("micro-cnn", (1, 16, 16), "linear_all"),
+    ("micro-cnn", (1, 16, 16), "full"),
+    ("mixed", (1, 4, 4), "full"),  # sampled batchnorm affines
+]
+
+
+@pytest.mark.parametrize("arch,shape,policy", ENGINE_CASES,
+                         ids=[f"{a}-{p}" for a, _, p in ENGINE_CASES])
+def test_mc_predict_matches_per_draw_reference(arch, shape, policy):
+    if arch == "mixed":
+        model = mixed_model()
+    else:
+        model = build_model(arch, shape, 3, has_box_head=(arch == "micro-cnn"), seed=11)
+    x = np.random.default_rng(22).uniform(size=shape)
+    posteriors = build_posteriors(model, select_layers(model, policy), alpha=0.2)
+    cfg = EnsembleConfig(sample_count=6, seed=5)
+    logits, boxes = mc_predict(model, posteriors, x, cfg, stream=(4,))
+    want_logits, want_boxes = per_draw_reference(model, posteriors, x, cfg, (4,))
+    assert logits.shape == want_logits.shape == (6, 3)
+    np.testing.assert_allclose(logits, want_logits, rtol=1e-12, atol=0)
+    if want_boxes is None:
+        assert boxes is None
+    else:
+        np.testing.assert_allclose(boxes, want_boxes, rtol=1e-12, atol=0)
 
 
 def test_predictive_mean_single_sample():
     logits = np.array([2.0, -1.0])
-    mean_probs, box, var = predictive_mean([(logits, None)])
+    mean_probs, box, var = predictive_mean(logits[None])
     e = np.exp(logits - logits.max())
     assert np.allclose(mean_probs, e / e.sum(), atol=1e-12)
     assert box is None
@@ -207,9 +259,9 @@ def test_predictive_mean_single_sample():
 
 
 def test_predictive_mean_two_extremes():
-    a = (np.array([1000.0, -1000.0]), np.array([0.0, 0.0, 2.0, 2.0]))
-    b = (np.array([-1000.0, 1000.0]), np.array([2.0, 2.0, 4.0, 4.0]))
-    mean_probs, box, var = predictive_mean([a, b])
+    logits = np.array([[1000.0, -1000.0], [-1000.0, 1000.0]])
+    boxes = np.array([[0.0, 0.0, 2.0, 2.0], [2.0, 2.0, 4.0, 4.0]])
+    mean_probs, box, var = predictive_mean(logits, boxes)
     assert np.allclose(mean_probs, [0.5, 0.5], atol=1e-12)
     assert np.allclose(box, [1.0, 1.0, 3.0, 3.0], atol=1e-12)
     # unbiased variance of {1000, -1000} is 2 * 1000^2
@@ -218,12 +270,12 @@ def test_predictive_mean_two_extremes():
 
 def test_predictive_mean_probability_vector():
     rng = np.random.default_rng(21)
-    samples = [(rng.normal(scale=5, size=4), None) for _ in range(30)]
-    mean_probs, _, _ = predictive_mean(samples)
+    logits = rng.normal(scale=5, size=(30, 4))
+    mean_probs, _, _ = predictive_mean(logits)
     assert abs(mean_probs.sum() - 1.0) < 1e-9
     assert np.all(mean_probs >= 0)
 
 
 def test_predictive_mean_empty():
     with pytest.raises(ValueError):
-        predictive_mean([])
+        predictive_mean(np.zeros((0, 3)))

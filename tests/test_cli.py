@@ -88,6 +88,53 @@ def test_invalid_json_exits_2(tmp_path):
     assert run(["train", "--config", str(path), "--out", str(out)]) == 2
 
 
+MALFORMED_CONFIGS = [
+    ("train-unknown-key", {"train": {"learning_rat": 0.05, "epochs": 3}}),
+    ("train-ill-typed", {"train": {"learning_rate": "fast", "epochs": 3}}),
+    ("train-float-epochs", {"train": {"learning_rate": 0.05, "epochs": 2.5}}),
+    ("train-missing-key", {"train": {"epochs": 3}}),
+    ("train-seed-key", {"train": {"learning_rate": 0.05, "epochs": 3, "seed": 1}}),
+    ("t_mc-float", {"t_mc": 2.5}),
+    ("t_mc-bool", {"t_mc": True}),
+    ("threads-float", {"threads": 2.5}),
+    ("threads-bool", {"threads": True}),
+    ("threads-zero", {"threads": 0}),
+    ("seed-float", {"seed": 2.5}),
+    ("seed-bool", {"seed": True}),
+]
+
+
+@pytest.mark.parametrize("overrides", [o for _, o in MALFORMED_CONFIGS],
+                         ids=[name for name, _ in MALFORMED_CONFIGS])
+def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, overrides):
+    config = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["train", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+
+
+def test_threads_flag_below_one_exits_2(tmp_path):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["gen-data", "--config", config, "--out", str(out),
+                "--threads", "0"]) == 2
+
+
+def test_every_documented_key_is_accepted(tmp_path):
+    # the keys a full pipeline config writes, `temperature` included
+    config = write_config(
+        tmp_path, alpha=0.05, q=0.05, temperature=1.0, phi=1.0,
+        aggregation="mean_score", tpr_target=0.95, threads=1,
+        train={"learning_rate": 0.05, "epochs": 3, "batch_size": 16,
+               "momentum": 0.9, "weight_decay": 0.01, "box_loss_weight": 0.2})
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["train", "--config", config, "--out", str(out)]) == 0
+
+
 def test_train_outputs_and_determinism(tmp_path):
     config = write_config(tmp_path)
     blobs = []
@@ -167,6 +214,32 @@ def test_seed_flag_overrides_config(tmp_path):
     assert manifest["seed"] == 3
 
 
+def test_calibrate_gamma_equals_eval_gamma_from_id_inputs_only(tmp_path, monkeypatch):
+    config = write_config(tmp_path)
+    model = train_model(tmp_path, config)
+    out = tmp_path / "eval"
+    out.mkdir()
+    assert run(["eval", "--config", config, "--model", model,
+                "--out", str(out)]) == 0
+    eval_gamma = json.loads((out / "report.json").read_text())["metrics"]["gamma"]
+
+    streams = []
+    real = cli.mc_predict
+
+    def recording(model, posteriors, x, cfg, stream=()):
+        streams.append(stream)
+        return real(model, posteriors, x, cfg, stream)
+
+    monkeypatch.setattr(cli, "mc_predict", recording)
+    cal = tmp_path / "cal"
+    cal.mkdir()
+    assert run(["calibrate", "--config", config, "--model", model,
+                "--out", str(cal)]) == 0
+    assert json.loads((cal / "gamma.json").read_text())["gamma"] == eval_gamma
+    n_id = len(cli.resolve_dataset(cli.load_config(config)).id_test)
+    assert streams == [(i,) for i in range(n_id)]
+
+
 def test_calibrate_writes_gamma(tmp_path):
     config = write_config(tmp_path)
     model = train_model(tmp_path, config)
@@ -204,6 +277,43 @@ def test_ablate_layers_emits_six_rows(tmp_path):
     none_row = rows[0]
     for key, value in standalone.items():
         assert none_row[key] == value
+
+    # ... and the `linear_all` row a standalone eval with linear_all
+    out3 = tmp_path / "eval_linear_all"
+    out3.mkdir()
+    assert run(["eval", "--config", config, "--model", model,
+                "--out", str(out3)]) == 0
+    standalone = json.loads((out3 / "report.json").read_text())["metrics"]
+    linear_row = rows[4]
+    for key, value in standalone.items():
+        assert linear_row[key] == value
+
+    # deltas against the `none` row
+    for row in rows:
+        for key in ("auroc", "fpr95", "nll"):
+            assert row[f"delta_{key}"] == row[key] - none_row[key]
+    assert none_row["delta_auroc"] == none_row["delta_fpr95"] == none_row["delta_nll"] == 0.0
+    assert csv_lines[0].split(",")[-3:] == ["delta_auroc", "delta_fpr95", "delta_nll"]
+
+
+def test_ablate_layers_evaluates_each_distinct_selection_once(tmp_path, monkeypatch):
+    config = write_config(tmp_path)
+    model = train_model(tmp_path, config)
+    policies = []
+    real = cli.evaluate_pairing
+
+    def counting(model, pairing, cfg):
+        policies.append(cfg.policy)
+        return real(model, pairing, cfg)
+
+    monkeypatch.setattr(cli, "evaluate_pairing", counting)
+    out = tmp_path / "ablate"
+    out.mkdir()
+    assert run(["ablate-layers", "--config", config, "--model", model,
+                "--out", str(out)]) == 0
+    # micro-mlp: the four policies that select nothing share one evaluation,
+    # and linear_all and full (both layers) share the other
+    assert policies == ["none", "linear_all"]
 
 
 def test_report_aggregates_mean_std(tmp_path):

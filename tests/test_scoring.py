@@ -71,34 +71,32 @@ def test_uncertainty_score_rank_invariant_in_phi():
 
 
 def test_score_ensemble_single_sample_modes_agree():
-    logits = np.array([1.0, -2.0, 0.5])
-    a = score_ensemble([(logits, None)], ScoringConfig(aggregation="mean_score"))
-    b = score_ensemble([(logits, None)],
-                       ScoringConfig(aggregation="score_of_mean_logits"))
-    assert a.score == b.score
-    assert a.score_std == 0.0
+    logits = np.array([[1.0, -2.0, 0.5]])
+    a = score_ensemble(logits, ScoringConfig(aggregation="mean_score"))
+    b = score_ensemble(logits, ScoringConfig(aggregation="score_of_mean_logits"))
+    assert a[0] == b[0]
+    assert a[1] == 0.0
 
 
 def test_score_ensemble_hand_arithmetic():
     # per-sample scores 0.2 and 0.8: energies from the logistic inverse
     e1 = math.log(0.8 / 0.2)   # S = 0.2
     e2 = math.log(0.2 / 0.8)   # S = 0.8
-    samples = [(np.array([-e1]), None), (np.array([-e2]), None)]
-    rec = score_ensemble(samples, ScoringConfig())
-    assert abs(rec.score - 0.5) < 1e-12
+    score, score_std, _ = score_ensemble(np.array([[-e1], [-e2]]), ScoringConfig())
+    assert abs(score - 0.5) < 1e-12
     # population estimator: sqrt(((0.2-0.5)^2 + (0.8-0.5)^2) / 2) = 0.3
-    assert abs(rec.score_std - 0.3) < 1e-12
+    assert abs(score_std - 0.3) < 1e-12
 
 
 def test_score_ensemble_identical_samples_zero_std():
     logits = np.array([0.3, 0.7])
-    rec = score_ensemble([(logits, None)] * 8, ScoringConfig())
-    assert rec.score_std == 0.0
+    _, score_std, _ = score_ensemble(np.tile(logits, (8, 1)), ScoringConfig())
+    assert score_std == 0.0
 
 
 def test_score_ensemble_empty():
     with pytest.raises(ValueError):
-        score_ensemble([], ScoringConfig())
+        score_ensemble(np.zeros((0, 2)), ScoringConfig())
 
 
 def test_scoring_config_validation():
