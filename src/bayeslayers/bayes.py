@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc, ndtri
+from scipy.special import gammaincinv
 
 from .network import Model, LayerSpec, LEARNABLE, forward_batch
 from .numerics import Rng, softmax
@@ -58,8 +58,7 @@ def select_layers(model: Model, policy) -> list:
         policy = SelectionPolicy(policy)
     if policy.layers is not None:
         for name in policy.layers:
-            layer = _find_layer(model, name)
-            if not LEARNABLE[layer.kind]:
+            if not LEARNABLE[model.layer(name).kind]:
                 raise ValueError(f"layer {name!r} carries no weight parameters")
         return [l.name for l in model.layers if l.name in set(policy.layers)]
     selected = []
@@ -78,13 +77,6 @@ def select_layers(model: Model, policy) -> list:
         elif policy.name == "full" and LEARNABLE[layer.kind]:
             selected.append(layer.name)
     return selected
-
-
-def _find_layer(model: Model, name: str) -> LayerSpec:
-    for layer in model.layers:
-        if layer.name == name:
-            return layer
-    raise ValueError(f"no layer named {name!r}")
 
 
 @dataclass
@@ -128,7 +120,6 @@ class GaussianLayerPosterior:
 class EnsembleConfig:
     sample_count: int = 30
     seed: int = 0
-    max_rejection_attempts: int | None = None
 
     def __post_init__(self):
         if self.sample_count < 1:
@@ -140,29 +131,12 @@ def _default_attempt_cap(q: float) -> int:
 
 
 def chi_square_quantile(m: int, q: float) -> float:
-    """r^2 with P(chi2_m <= r^2) = q, to 1e-6 absolute.
-
-    Wilson-Hilferty starting bracket refined by bisection on the regularized
-    incomplete gamma.
-    """
+    """r^2 with P(chi2_m <= r^2) = q: the chi-square quantile in closed
+    form through the inverse regularized lower incomplete gamma,
+    2 * gammaincinv(m / 2, q)."""
     if not 0 <= q < 1:
         raise ValueError("q must be in [0, 1)")
-    if q == 0:
-        return 0.0
-    # Wilson-Hilferty approximation as a bracket seed
-    z = ndtri(q)
-    wh = m * (1.0 - 2.0 / (9.0 * m) + z * math.sqrt(2.0 / (9.0 * m))) ** 3
-    hi = max(wh * 2.0, 1.0)
-    while gammainc(m / 2.0, hi / 2.0) < q:
-        hi *= 2.0
-    lo = 0.0
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        if gammainc(m / 2.0, mid / 2.0) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return 0.0 if q == 0 else float(2.0 * gammaincinv(m / 2.0, q))
 
 
 def build_posteriors(model: Model, selection: list, alpha: float,
@@ -173,7 +147,7 @@ def build_posteriors(model: Model, selection: list, alpha: float,
         raise ValueError("alpha must be positive")
     posteriors = []
     for name in selection:
-        layer = _find_layer(model, name)
+        layer = model.layer(name)
         tensors = [(t, layer.params[t].shape) for t in LEARNABLE[layer.kind]]
         flat = np.concatenate([layer.params[t].reshape(-1) for t in LEARNABLE[layer.kind]])
         if flat.size == 0:
@@ -220,7 +194,7 @@ def mc_predict(model: Model, posteriors: list, x: np.ndarray,
             layers.append(layer)
             continue
         flat = np.stack([
-            sample_layer_weights(post, base.split(*stream, t, i), cfg.max_rejection_attempts)
+            sample_layer_weights(post, base.split(*stream, t, i))
             for t in range(cfg.sample_count)])
         params = dict(layer.params)
         params.update(post.split_tensors(flat))
@@ -237,9 +211,7 @@ def mc_predict(model: Model, posteriors: list, x: np.ndarray,
 
 def predictive_mean(logits: np.ndarray, boxes: np.ndarray | None = None):
     """Ensemble summary of logits (..., T, K) and boxes (..., T, 4) or None:
-    (mean softmax vector (..., K), mean box (..., 4) or None, per-logit
-    variance (..., K)). Variance is the unbiased estimator (zero for a
-    single sample)."""
+    (mean softmax vector (..., K), mean box (..., 4) or None)."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim < 2 or logits.shape[-2] == 0:
         raise ValueError("empty ensemble")
@@ -251,8 +223,4 @@ def predictive_mean(logits: np.ndarray, boxes: np.ndarray | None = None):
     if boxes is not None:
         boxes = np.asarray(boxes, dtype=np.float64)
         mean_box = np.where(degenerate, boxes[..., 0, :], boxes.mean(axis=-2))
-    if logits.shape[-2] == 1:
-        var = np.zeros(logits.shape[:-2] + logits.shape[-1:])
-    else:
-        var = np.where(degenerate, 0.0, logits.var(axis=-2, ddof=1))
-    return mean_probs, mean_box, var
+    return mean_probs, mean_box

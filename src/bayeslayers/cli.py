@@ -4,7 +4,8 @@ run the layer-selection ablation, and merge reports.
 Every command is a pure function of (config file, input files, seed);
 reruns produce byte-identical outputs except the timings block. Exit codes:
 0 success, 2 config error, 3 I/O error, 4 training divergence, 5 sampler
-exhaustion.
+exhaustion, 6 numeric error (a non-finite forward output during
+calibrate, eval or ablate-layers).
 """
 
 import argparse
@@ -27,6 +28,7 @@ from .metrics import (BenchmarkReport, ScoreSet, auroc, fpr_at_tpr,
 from .network import (PersistenceError, TrainConfig, TrainingDivergedError,
                       PRESETS, build_model, forward_batch, load_model,
                       save_model, train_sgd)
+from .numerics import NumericsError, ShapeError
 from .scoring import (AGGREGATIONS, OodScoreRecord, ScoringConfig,
                       calibrate_gamma, nll, score_ensemble)
 
@@ -35,6 +37,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DIVERGED = 4
 EXIT_SAMPLER = 5
+EXIT_NUMERIC = 6
 
 _RUN_KEYS = {"dataset", "architecture", "train", "policy", "layers", "alpha",
              "q", "t_mc", "temperature", "phi", "aggregation", "tpr_target",
@@ -43,6 +46,7 @@ _RUN_TYPES = {"alpha": float, "q": float, "t_mc": int, "temperature": float,
               "phi": float, "tpr_target": float, "seed": int, "threads": int}
 # `train` keys: the TrainConfig fields; its seed is the run's seed
 _TRAIN_FIELDS = {f.name: f for f in fields(TrainConfig) if f.name != "seed"}
+_GENERATORS = {"blobs": datasets.gen_blobs, "shapes": datasets.gen_shapes}
 
 
 class ConfigError(ValueError):
@@ -81,6 +85,12 @@ class RunConfig:
 
     def __post_init__(self):
         _check_types("", vars(self), _RUN_TYPES)
+        if not isinstance(self.dataset, dict):
+            raise ConfigError("dataset must be an object")
+        if not isinstance(self.dataset.get("params", {}), dict):
+            raise ConfigError("dataset.params must be an object")
+        if not isinstance(self.dataset.get("path", ""), str):
+            raise ConfigError("dataset.path must be a string")
         if not isinstance(self.train, dict):
             raise ConfigError("train must be an object")
         unknown = set(self.train) - set(_TRAIN_FIELDS)
@@ -149,13 +159,12 @@ def resolve_dataset(cfg: RunConfig) -> datasets.BenchmarkPairing:
     if "path" in spec:
         return datasets.load_pairing(spec["path"])
     gen = spec.get("generator")
-    params = dict(spec.get("params", {}))
-    seed = spec.get("seed", cfg.seed)
-    if gen == "blobs":
-        return datasets.gen_blobs(seed, **params)
-    if gen == "shapes":
-        return datasets.gen_shapes(seed, **params)
-    raise ConfigError(f"unknown dataset generator {gen!r}")
+    if gen not in _GENERATORS:
+        raise ConfigError(f"unknown dataset generator {gen!r}")
+    try:
+        return _GENERATORS[gen](spec.get("seed", cfg.seed), **spec.get("params", {}))
+    except TypeError as exc:  # an unknown or ill-typed generator parameter
+        raise ConfigError(f"dataset.params: {exc}") from exc
 
 
 def build_and_train(cfg: RunConfig, pairing: datasets.BenchmarkPairing):
@@ -221,7 +230,7 @@ def evaluate_pairing(model, pairing, cfg: RunConfig):
     test = list(pairing.id_test) + list(pairing.ood_test)
     logits, boxes = _ensemble_logits(model, test, cfg)
     score, score_std, energy_mean = score_ensemble(logits, _scoring_config(cfg))
-    mean_probs, mean_box, _ = predictive_mean(logits, boxes)
+    mean_probs, mean_box = predictive_mean(logits, boxes)
     predicted = np.argmax(mean_probs, axis=-1)
     records = [
         OodScoreRecord(sample_id=i, energy_mean=float(energy_mean[i]),
@@ -446,7 +455,7 @@ def main(argv=None) -> int:
         if args.command == "ablate-layers":
             return cmd_ablate_layers(cfg, args.model, args.out)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, KeyError) as exc:
+    except (ConfigError, KeyError, ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TrainingDivergedError as exc:
@@ -458,6 +467,9 @@ def main(argv=None) -> int:
     except (OSError, PersistenceError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except NumericsError as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

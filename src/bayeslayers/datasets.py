@@ -1,4 +1,4 @@
-"""Synthetic ID/OOD benchmark data and IDX-format ingestion.
+"""Synthetic ID/OOD benchmark data and its on-disk form.
 
 Every generator is a pure function of its seed and parameters; reruns are
 byte-identical. OOD samples are tagged so they can never leak into
@@ -8,7 +8,6 @@ training.
 import hashlib
 import json
 import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +19,6 @@ __all__ = [
     "BenchmarkPairing",
     "gen_blobs",
     "gen_shapes",
-    "load_idx",
-    "split_by_label",
     "content_digest",
     "save_pairing",
     "load_pairing",
@@ -155,66 +152,6 @@ def gen_shapes(seed: int, image_size: int = 28, id_shapes=ID_SHAPES,
     prov = {"generator": "shapes", "seed": seed,
             "params": {"image_size": image_size, "id_shapes": list(id_shapes),
                        "ood_shapes": list(ood_shapes), "n": n}}
-    return BenchmarkPairing(id_train, id_test, ood_test, prov)
-
-
-def load_idx(images_path: str, labels_path: str) -> list:
-    """Parse the standard big-endian IDX pair (images magic 0x803, labels
-    magic 0x801); pixels scaled to [0, 1]."""
-    with open(images_path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) < 16:
-            raise ValueError("truncated image file header")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != 0x00000803:
-            raise ValueError(f"bad magic 0x{magic:08x} in image file (expected 0x00000803)")
-        raw = fh.read(count * rows * cols)
-        if len(raw) < count * rows * cols:
-            raise ValueError("truncated image payload")
-        images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
-    with open(labels_path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) < 8:
-            raise ValueError("truncated label file header")
-        magic, lcount = struct.unpack(">II", header)
-        if magic != 0x00000801:
-            raise ValueError(f"bad magic 0x{magic:08x} in label file (expected 0x00000801)")
-        raw = fh.read(lcount)
-        if len(raw) < lcount:
-            raise ValueError("truncated label payload")
-        labels = np.frombuffer(raw, dtype=np.uint8)
-    if count != lcount:
-        raise ValueError(f"image count {count} does not match label count {lcount}")
-    return [LabeledSample(images[i][None].astype(np.float64) / 255.0, int(labels[i]))
-            for i in range(count)]
-
-
-def split_by_label(collection: list, id_labels) -> BenchmarkPairing:
-    """Split a labeled collection into an ID/OOD pairing.
-
-    Samples whose label is in id_labels become ID, relabeled densely and
-    order-preservingly to 0..K'-1 and alternated into train/test; the rest
-    become ood_test.
-    """
-    id_labels = set(int(l) for l in id_labels)
-    if not id_labels:
-        raise ValueError("id_labels must be non-empty")
-    observed = sorted({s.label for s in collection})
-    if not set(observed) - id_labels:
-        raise ValueError("id_labels covers all observed labels; no OOD data left")
-    remap = {old: new for new, old in enumerate(sorted(id_labels))}
-    id_train, id_test, ood_test = [], [], []
-    counts = {l: 0 for l in id_labels}
-    for s in collection:
-        if s.label in id_labels:
-            dst = id_train if counts[s.label] % 2 == 0 else id_test
-            counts[s.label] += 1
-            dst.append(LabeledSample(s.input, remap[s.label], box=s.box, tag="id"))
-        else:
-            ood_test.append(LabeledSample(s.input, s.label, box=s.box, tag="ood"))
-    if not id_train or not id_test:
-        raise ValueError("not enough ID samples to form train and test splits")
-    prov = {"generator": "split_by_label", "id_labels": sorted(id_labels)}
     return BenchmarkPairing(id_train, id_test, ood_test, prov)
 
 

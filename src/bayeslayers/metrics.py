@@ -66,24 +66,13 @@ def fpr_at_tpr(scores: ScoreSet, tpr_target: float = 0.95) -> float:
 
 def auroc(scores: ScoreSet) -> float:
     """Probability a random ID score exceeds a random OOD score, ties
-    credited 0.5 (Mann-Whitney statistic via tie-averaged ranks)."""
+    credited 0.5 (the Mann-Whitney statistic, counted against the sorted
+    OOD scores)."""
     ids, oods = scores.id_scores, scores.ood_scores
-    combined = np.concatenate([ids, oods])
-    order = np.argsort(combined, kind="mergesort")
-    ranks = np.empty(combined.size, dtype=np.float64)
-    ranks[order] = np.arange(1, combined.size + 1)
-    # average ranks within tie groups
-    sorted_vals = combined[order]
-    i = 0
-    while i < sorted_vals.size:
-        j = i
-        while j + 1 < sorted_vals.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            ranks[order[i:j + 1]] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
-    r_id = ranks[:ids.size].sum()
-    u = r_id - ids.size * (ids.size + 1) / 2.0
+    sorted_ood = np.sort(oods)
+    below = np.searchsorted(sorted_ood, ids, "left")
+    ties = np.searchsorted(sorted_ood, ids, "right") - below
+    u = below.sum() + 0.5 * ties.sum()
     return float(u / (ids.size * oods.size))
 
 

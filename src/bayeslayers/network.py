@@ -22,11 +22,7 @@ __all__ = [
     "LAYER_KINDS",
     "PARAM_ORDER",
     "LEARNABLE",
-    "forward",
     "forward_batch",
-    "cross_entropy",
-    "smooth_l1",
-    "backward",
     "loss_and_gradients",
     "train_sgd",
     "save_model",
@@ -124,7 +120,7 @@ class Model:
         for l in self.layers:
             if l.name == name:
                 return l
-        raise KeyError(name)
+        raise ValueError(f"no layer named {name!r}")
 
     @property
     def head_width(self) -> int:
@@ -327,16 +323,18 @@ def forward_batch(model: Model, x: np.ndarray, training: bool = False,
     x = np.asarray(x, dtype=np.float64)
     caches = []
     drawn = False  # whether x carries the leading draw axis
-    for layer in model.layers:
-        if layer.draws:
-            x, cache = _FWD[layer.kind](layer, x if drawn else x[None], training)
-            drawn = True
-        elif drawn:
-            out, cache = _FWD[layer.kind](layer, x.reshape((-1,) + x.shape[2:]), training)
-            x = out.reshape(x.shape[:2] + out.shape[1:])
-        else:
-            x, cache = _FWD[layer.kind](layer, x, training)
-        caches.append(cache if want_caches else None)
+    # an overflow surfaces once, as the NumericsError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer in model.layers:
+            if layer.draws:
+                x, cache = _FWD[layer.kind](layer, x if drawn else x[None], training)
+                drawn = True
+            elif drawn:
+                out, cache = _FWD[layer.kind](layer, x.reshape((-1,) + x.shape[2:]), training)
+                x = out.reshape(x.shape[:2] + out.shape[1:])
+            else:
+                x, cache = _FWD[layer.kind](layer, x, training)
+            caches.append(cache if want_caches else None)
     if x.ndim != 2 + drawn or x.shape[-1] != model.head_width:
         raise ShapeError(
             f"final layer produced shape {x.shape}, expected (N, {model.head_width})")
@@ -347,35 +345,9 @@ def forward_batch(model: Model, x: np.ndarray, training: bool = False,
     return logits, boxes, caches
 
 
-def forward(model: Model, x: np.ndarray):
-    """Single-sample forward pass: (logits[K], box[4] or None)."""
-    logits, boxes, _ = forward_batch(model, np.asarray(x, dtype=np.float64)[None])
-    return logits[0], (boxes[0] if boxes is not None else None)
-
-
 # ---------------------------------------------------------------------------
 # losses and gradients
 # ---------------------------------------------------------------------------
-
-def cross_entropy(probs: np.ndarray, target: int) -> float:
-    """Negative log probability of the target class."""
-    probs = np.asarray(probs, dtype=np.float64).reshape(-1)
-    if not 0 <= target < probs.size:
-        raise IndexError(f"target {target} out of range for {probs.size} classes")
-    return float(-np.log(max(probs[target], 1e-300)))
-
-
-def smooth_l1(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Smooth-L1 (0.5 x^2 for |x|<1, |x|-0.5 otherwise) summed over coordinates."""
-    d = np.asarray(pred, dtype=np.float64) - np.asarray(truth, dtype=np.float64)
-    a = np.abs(d)
-    return float(np.sum(np.where(a < 1, 0.5 * d * d, a - 0.5)))
-
-
-def _smooth_l1_grad(pred, truth):
-    d = pred - truth
-    return np.clip(d, -1.0, 1.0)
-
 
 def loss_and_gradients(model: Model, inputs: np.ndarray, labels: np.ndarray,
                        boxes: np.ndarray | None = None,
@@ -406,7 +378,7 @@ def loss_and_gradients(model: Model, inputs: np.ndarray, labels: np.ndarray,
         d = pred_boxes - boxes
         a = np.abs(d)
         loss += box_loss_weight * float(np.where(a < 1, 0.5 * d * d, a - 0.5).sum() / n)
-        dbox = box_loss_weight * _smooth_l1_grad(pred_boxes, boxes) / n
+        dbox = box_loss_weight * np.clip(d, -1.0, 1.0) / n
         dout = np.concatenate([dlogits, dbox], axis=1)
     else:
         dout = dlogits
@@ -418,20 +390,6 @@ def loss_and_gradients(model: Model, inputs: np.ndarray, labels: np.ndarray,
         if g:
             grads[layer.name] = g
     return loss, grads
-
-
-def backward(model: Model, inputs: np.ndarray, labels, boxes=None,
-             box_loss_weight: float = 1.0):
-    """Gradients of the joint loss; accepts a single sample or a batch."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    single = inputs.ndim == 1 or (inputs.ndim == 3 and model.layers
-                                  and model.layers[0].kind in ("conv2d", "batchnorm", "maxpool2"))
-    if single or np.isscalar(labels) or np.ndim(labels) == 0:
-        inputs = inputs[None]
-        labels = np.asarray([labels])
-        boxes = None if boxes is None else np.asarray(boxes)[None]
-    _, grads = loss_and_gradients(model, inputs, labels, boxes, box_loss_weight)
-    return grads
 
 
 # ---------------------------------------------------------------------------

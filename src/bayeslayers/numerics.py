@@ -1,7 +1,8 @@
 """Deterministic tensor arithmetic and random number generation.
 
-All in-memory arithmetic is float64; every operation raises on non-finite
-results instead of propagating NaN/Inf silently.
+All in-memory arithmetic is float64. Layer operations live in `network`:
+`forward_batch` and `loss_and_gradients` raise on non-finite outputs and
+losses instead of propagating NaN/Inf silently.
 """
 
 import numpy as np
@@ -11,21 +12,15 @@ __all__ = [
     "NumericsError",
     "ShapeError",
     "Rng",
-    "matmul",
-    "conv2d",
-    "relu",
-    "max_pool2",
-    "flatten",
     "log_sum_exp",
     "softmax",
-    "gauss_sample",
     "im2col",
     "col2im",
 ]
 
 
 class NumericsError(ValueError):
-    """Numeric contract violation (non-finite result, bad parameter)."""
+    """Numeric contract violation: a non-finite forward output or loss."""
 
 
 class ShapeError(NumericsError):
@@ -81,30 +76,6 @@ class Rng:
         return r * np.cos(2.0 * np.pi * u[1::2])
 
 
-def gauss_sample(rng: Rng, mean: float, sigma: float) -> float:
-    """One draw from N(mean, sigma^2) on the generator's stream."""
-    if sigma <= 0:
-        raise NumericsError(f"sigma must be positive, got {sigma}")
-    return float(mean + sigma * rng.normals(1)[0])
-
-
-def _check_finite(out: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(out)):
-        raise NumericsError(f"{op} produced non-finite values")
-    return out
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with 64-bit accumulation."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner extents differ: {a.shape} vs {b.shape}")
-    return _check_finite(a @ b, "matmul")
-
-
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
     """Patch matrix of a batched image tensor.
 
@@ -143,48 +114,6 @@ def col2im(cols: np.ndarray, x_shape: tuple, kh: int, kw: int,
     if padding:
         out = out[:, :, padding:hp - padding, padding:wp - padding]
     return out
-
-
-def conv2d(x: np.ndarray, kernels: np.ndarray, stride: int = 1,
-           padding: int = 0) -> np.ndarray:
-    """2-D cross-correlation (no kernel flip).
-
-    x: (C, H, W), kernels: (F, C, kh, kw) -> (F, H_out, W_out) with
-    H_out = floor((H + 2p - kh) / stride) + 1, likewise W_out.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    kernels = np.asarray(kernels, dtype=np.float64)
-    if x.ndim != 3 or kernels.ndim != 4:
-        raise ShapeError(f"conv2d expects (C,H,W) and (F,C,kh,kw), got {x.shape}, {kernels.shape}")
-    if x.shape[0] != kernels.shape[1]:
-        raise ShapeError(f"channel mismatch: input {x.shape[0]} vs kernel {kernels.shape[1]}")
-    f, c, kh, kw = kernels.shape
-    cols = im2col(x[None], kh, kw, stride, padding)  # (1, C*kh*kw, L)
-    out = kernels.reshape(f, -1) @ cols[0]
-    h_out = (x.shape[1] + 2 * padding - kh) // stride + 1
-    w_out = (x.shape[2] + 2 * padding - kw) // stride + 1
-    return _check_finite(out.reshape(f, h_out, w_out), "conv2d")
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def max_pool2(x: np.ndarray) -> np.ndarray:
-    """2x2 max pooling with stride 2 on (C, H, W); odd trailing rows/columns
-    are dropped (floor semantics)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"max_pool2 expects (C,H,W), got {x.shape}")
-    c, h, w = x.shape
-    h2, w2 = h // 2, w // 2
-    x = x[:, :2 * h2, :2 * w2]
-    return x.reshape(c, h2, 2, w2, 2).max(axis=(2, 4))
-
-
-def flatten(x: np.ndarray) -> np.ndarray:
-    """Row-major collapse to a vector; element count preserved."""
-    return np.asarray(x, dtype=np.float64).reshape(-1)
 
 
 def log_sum_exp(v: np.ndarray):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import log_sum_exp, ShapeError
+from .numerics import log_sum_exp
 
 __all__ = [
     "ScoringConfig",
@@ -20,7 +20,6 @@ __all__ = [
     "uncertainty_score",
     "score_ensemble",
     "calibrate_gamma",
-    "classify",
     "nll",
 ]
 
@@ -109,11 +108,6 @@ def calibrate_gamma(id_scores, tpr_target: float = 0.95) -> float:
         raise ValueError("tpr_target must be in (0, 1]")
     k = math.ceil(tpr_target * scores.size)
     return float(np.sort(scores)[::-1][k - 1])
-
-
-def classify(score: float, gamma: float) -> str:
-    """ID iff score >= gamma (the boundary counts as ID)."""
-    return "ID" if score >= gamma else "OOD"
 
 
 def nll(probabilities) -> float:

@@ -16,7 +16,7 @@ from bayeslayers.bayes import (EnsembleConfig, GaussianLayerPosterior,
 from bayeslayers.cli import RunConfig, build_and_train, evaluate_pairing
 from bayeslayers.datasets import gen_blobs, gen_shapes
 from bayeslayers.metrics import ScoreSet, auroc, fpr_at_tpr
-from bayeslayers.network import (build_model, forward, load_model,
+from bayeslayers.network import (build_model, forward_batch, load_model,
                                  loss_and_gradients, save_model)
 from bayeslayers.numerics import Rng
 from bayeslayers.scoring import (ScoringConfig, calibrate_gamma, energy,
@@ -188,7 +188,8 @@ def test_criterion_06_calibration_soundness():
 def test_criterion_07_degenerate_ensemble():
     model = build_model("micro-cnn", (1, 16, 16), 3, has_box_head=True, seed=1)
     x = np.random.default_rng(105).uniform(size=(1, 16, 16))
-    base_logits, base_box = forward(model, x)
+    base_logits, base_box, _ = forward_batch(model, x[None])
+    base_logits, base_box = base_logits[0], base_box[0]
 
     logits, boxes = mc_predict(model, [], x, EnsembleConfig(sample_count=10, seed=0))
     assert len(logits) == len(boxes) == 10

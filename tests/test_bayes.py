@@ -9,7 +9,7 @@ from bayeslayers.bayes import (EnsembleConfig, GaussianLayerPosterior,
                                chi_square_quantile, mc_predict,
                                predictive_mean, sample_layer_weights,
                                select_layers)
-from bayeslayers.network import LayerSpec, Model, build_model, forward, forward_batch
+from bayeslayers.network import LayerSpec, Model, build_model, forward_batch
 from bayeslayers.numerics import Rng
 
 
@@ -92,9 +92,9 @@ def test_build_posteriors_zero_weight_floor():
 def test_build_posteriors_leaves_model_untouched():
     model = build_model("micro-mlp", (2,), 3, seed=3)
     x = np.array([0.3, -0.7])
-    before = forward(model, x)[0].copy()
+    before = forward_batch(model, x[None])[0][0].copy()
     build_posteriors(model, select_layers(model, "linear_all"), alpha=0.05)
-    after = forward(model, x)[0]
+    after = forward_batch(model, x[None])[0][0]
     assert np.array_equal(before, after)
 
 
@@ -163,7 +163,7 @@ def test_sample_layer_weights_exhaustion():
 def test_mc_predict_empty_selection_is_deterministic():
     model = build_model("micro-mlp", (2,), 3, seed=5)
     x = np.array([0.5, 1.5])
-    base_logits = forward(model, x)[0]
+    base_logits = forward_batch(model, x[None])[0][0]
     logits, boxes = mc_predict(model, [], x, EnsembleConfig(sample_count=5, seed=0))
     assert logits.shape == (5, 3)
     for row in logits:
@@ -174,7 +174,7 @@ def test_mc_predict_empty_selection_is_deterministic():
 def test_mc_predict_vanishing_width():
     model = build_model("micro-mlp", (2,), 3, seed=6)
     x = np.array([-0.25, 0.75])
-    base_logits = forward(model, x)[0]
+    base_logits = forward_batch(model, x[None])[0][0]
     selection = select_layers(model, "linear_all")
     posteriors = build_posteriors(model, selection, alpha=0.05)
     for post in posteriors:
@@ -251,27 +251,24 @@ def test_mc_predict_matches_per_draw_reference(arch, shape, policy):
 
 def test_predictive_mean_single_sample():
     logits = np.array([2.0, -1.0])
-    mean_probs, box, var = predictive_mean(logits[None])
+    mean_probs, box = predictive_mean(logits[None])
     e = np.exp(logits - logits.max())
     assert np.allclose(mean_probs, e / e.sum(), atol=1e-12)
     assert box is None
-    assert np.array_equal(var, np.zeros(2))
 
 
 def test_predictive_mean_two_extremes():
     logits = np.array([[1000.0, -1000.0], [-1000.0, 1000.0]])
     boxes = np.array([[0.0, 0.0, 2.0, 2.0], [2.0, 2.0, 4.0, 4.0]])
-    mean_probs, box, var = predictive_mean(logits, boxes)
+    mean_probs, box = predictive_mean(logits, boxes)
     assert np.allclose(mean_probs, [0.5, 0.5], atol=1e-12)
     assert np.allclose(box, [1.0, 1.0, 3.0, 3.0], atol=1e-12)
-    # unbiased variance of {1000, -1000} is 2 * 1000^2
-    assert np.allclose(var, [2e6, 2e6], rtol=1e-12)
 
 
 def test_predictive_mean_probability_vector():
     rng = np.random.default_rng(21)
     logits = rng.normal(scale=5, size=(30, 4))
-    mean_probs, _, _ = predictive_mean(logits)
+    mean_probs, _ = predictive_mean(logits)
     assert abs(mean_probs.sum() - 1.0) < 1e-9
     assert np.all(mean_probs >= 0)
 

@@ -101,6 +101,13 @@ MALFORMED_CONFIGS = [
     ("threads-zero", {"threads": 0}),
     ("seed-float", {"seed": 2.5}),
     ("seed-bool", {"seed": True}),
+    ("dataset-not-object", {"dataset": "blobs"}),
+    ("dataset-unknown-param", {"dataset": {"generator": "blobs",
+                                           "params": {"k": 3, "bogus": 1}}}),
+    ("dataset-ill-typed-param", {"dataset": {"generator": "blobs",
+                                             "params": {"k": "three"}}}),
+    ("dataset-params-not-object", {"dataset": {"generator": "blobs", "params": [1]}}),
+    ("dataset-path-not-string", {"dataset": {"path": 5}}),
 ]
 
 
@@ -154,6 +161,21 @@ def test_train_divergence_exits_4(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     assert run(["train", "--config", config, "--out", str(out)]) == 4
+
+
+@pytest.mark.filterwarnings("error")
+def test_numeric_blowup_in_eval_exits_6_with_one_line(tmp_path, capsys):
+    # weights sampled at alpha 1e200 overflow the forward pass; no numpy
+    # warning may reach the user, only the one-line error
+    config = write_config(tmp_path, alpha=1e200)
+    model = train_model(tmp_path, config)
+    out = tmp_path / "eval"
+    out.mkdir()
+    capsys.readouterr()
+    assert run(["eval", "--config", config, "--model", model,
+                "--out", str(out)]) == 6
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric error:"), err
 
 
 def test_eval_outputs(tmp_path):

@@ -1,11 +1,8 @@
-import struct
-
 import numpy as np
 import pytest
 
-from bayeslayers.datasets import (LabeledSample, content_digest, gen_blobs,
-                                  gen_shapes, load_idx, load_pairing,
-                                  save_pairing, split_by_label)
+from bayeslayers.datasets import (content_digest, gen_blobs, gen_shapes,
+                                  load_pairing, save_pairing)
 
 
 def pairings_equal(a, b):
@@ -21,19 +18,6 @@ def pairings_equal(a, b):
             if x.box is not None and not np.array_equal(x.box, y.box):
                 return False
     return True
-
-
-def write_idx_pair(tmp_path, images, labels):
-    img_path = tmp_path / "images.idx"
-    lbl_path = tmp_path / "labels.idx"
-    n, rows, cols = images.shape
-    with open(img_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", 0x00000803, n, rows, cols))
-        fh.write(images.astype(np.uint8).tobytes())
-    with open(lbl_path, "wb") as fh:
-        fh.write(struct.pack(">II", 0x00000801, len(labels)))
-        fh.write(bytes(labels))
-    return str(img_path), str(lbl_path)
 
 
 def test_gen_blobs_deterministic():
@@ -102,71 +86,6 @@ def test_gen_shapes_counts_and_labels():
 def test_gen_shapes_rejects_small_image():
     with pytest.raises(ValueError):
         gen_shapes(0, image_size=15)
-
-
-def test_load_idx_round_trip(tmp_path):
-    rng = np.random.default_rng(50)
-    images = rng.integers(0, 256, size=(10, 28, 28)).astype(np.uint8)
-    labels = list(rng.integers(0, 10, size=10))
-    labels[3] = 7
-    img_path, lbl_path = write_idx_pair(tmp_path, images, labels)
-    samples = load_idx(img_path, lbl_path)
-    assert len(samples) == 10
-    assert samples[0].input.shape == (1, 28, 28)
-    assert np.allclose(samples[0].input[0], images[0] / 255.0)
-    assert samples[3].label == 7
-
-
-def test_load_idx_count_mismatch(tmp_path):
-    images = np.zeros((4, 5, 5), dtype=np.uint8)
-    img_path, lbl_path = write_idx_pair(tmp_path, images, [0, 1, 2])
-    with pytest.raises(ValueError) as err:
-        load_idx(img_path, lbl_path)
-    assert "4" in str(err.value) and "3" in str(err.value)
-
-
-def test_load_idx_bad_magic(tmp_path):
-    images = np.zeros((2, 4, 4), dtype=np.uint8)
-    img_path, lbl_path = write_idx_pair(tmp_path, images, [0, 1])
-    data = bytearray(open(img_path, "rb").read())
-    data[3] = 0x05
-    open(img_path, "wb").write(bytes(data))
-    with pytest.raises(ValueError, match="magic"):
-        load_idx(img_path, lbl_path)
-
-
-def test_load_idx_truncated(tmp_path):
-    images = np.zeros((3, 6, 6), dtype=np.uint8)
-    img_path, lbl_path = write_idx_pair(tmp_path, images, [0, 1, 2])
-    data = open(img_path, "rb").read()
-    open(img_path, "wb").write(data[:-20])
-    with pytest.raises(ValueError, match="truncated"):
-        load_idx(img_path, lbl_path)
-
-
-def test_split_by_label_relabels_densely():
-    samples = [LabeledSample(np.array([float(i)]), i % 10) for i in range(40)]
-    p = split_by_label(samples, {0, 1, 2, 3, 4})
-    assert sorted({s.label for s in p.id_train + p.id_test}) == [0, 1, 2, 3, 4]
-    assert all(s.label >= 5 for s in p.ood_test)
-    assert all(s.tag == "ood" for s in p.ood_test)
-    assert len(p.id_train) + len(p.id_test) == 20
-    assert len(p.ood_test) == 20
-
-
-def test_split_by_label_preserves_order_mapping():
-    samples = [LabeledSample(np.array([0.0]), l) for l in (2, 5, 7, 2, 5, 7)]
-    p = split_by_label(samples, {2, 5})
-    labels = sorted({s.label for s in p.id_train + p.id_test})
-    assert labels == [0, 1]   # 2 -> 0, 5 -> 1
-
-
-def test_split_by_label_needs_ood_left():
-    samples = [LabeledSample(np.array([0.0]), l) for l in (0, 1, 0, 1)]
-    with pytest.raises(ValueError):
-        split_by_label(samples, {0, 1})
-    with pytest.raises(ValueError):
-        split_by_label(samples, set())
 
 
 def test_pairing_save_load_round_trip(tmp_path):

@@ -6,16 +6,32 @@ import pytest
 from bayeslayers.datasets import LabeledSample, gen_blobs, gen_shapes
 from bayeslayers.network import (LayerSpec, Model, PersistenceError,
                                  TrainConfig, TrainingDivergedError,
-                                 backward, build_model, cross_entropy,
-                                 forward, forward_batch, load_model,
-                                 loss_and_gradients, save_model, smooth_l1,
-                                 train_sgd)
+                                 build_model, forward_batch, load_model,
+                                 loss_and_gradients, save_model, train_sgd)
 from bayeslayers.numerics import ShapeError, softmax
 
 
 def linear_layer(name, weight, bias):
     return LayerSpec(name, "linear", {"weight": np.asarray(weight, dtype=np.float64),
                                       "bias": np.asarray(bias, dtype=np.float64)})
+
+
+def forward(model, x):
+    """One input through the batched forward pass: (logits, box or None)."""
+    logits, boxes, _ = forward_batch(model, np.asarray(x, dtype=np.float64)[None])
+    return logits[0], None if boxes is None else boxes[0]
+
+
+def head_loss(logits, label, box=None, pred_box=None):
+    """loss_and_gradients on one zero-weight linear layer whose bias holds
+    the given logits (and predicted box): the loss of exactly those outputs."""
+    bias = np.concatenate([logits, [] if pred_box is None else pred_box])
+    model = Model([linear_layer("head", np.zeros((bias.size, 1)), bias)],
+                  backbone_end=0, class_count=len(logits),
+                  has_box_head=pred_box is not None)
+    loss, _ = loss_and_gradients(model, np.zeros((1, 1)), [label],
+                                 None if box is None else np.asarray(box)[None])
+    return loss
 
 
 def micro_model():
@@ -121,26 +137,27 @@ def test_train_sgd_repeatable_bit_exact():
 
 
 def test_cross_entropy_uniform():
-    assert abs(cross_entropy(np.full(10, 0.1), 3) - math.log(10)) < 1e-12
+    assert abs(head_loss(np.zeros(10), 3) - math.log(10)) < 1e-12
 
 
 def test_cross_entropy_target_out_of_range():
     with pytest.raises(IndexError):
-        cross_entropy(np.full(4, 0.25), 4)
+        head_loss(np.zeros(4), 4)
 
 
 def test_smooth_l1_values():
+    # a single class carries zero cross-entropy, leaving the box term alone
     exact = np.array([1.0, 2.0, 3.0, 4.0])
-    assert smooth_l1(exact, exact) == 0.0
-    assert smooth_l1(exact + [0.5, 0, 0, 0], exact) == 0.125
-    assert smooth_l1(exact + [2.0, 0, 0, 0], exact) == 1.5
+    assert head_loss(np.zeros(1), 0, exact, exact) == 0.0
+    assert head_loss(np.zeros(1), 0, exact, exact + [0.5, 0, 0, 0]) == 0.125
+    assert head_loss(np.zeros(1), 0, exact, exact + [2.0, 0, 0, 0]) == 1.5
 
 
 def test_softmax_cross_entropy_shift_invariance():
     rng = np.random.default_rng(11)
     f = rng.normal(size=6)
-    a = cross_entropy(softmax(f), 2)
-    b = cross_entropy(softmax(f + 13.7), 2)
+    a = head_loss(f, 2)
+    b = head_loss(f + 13.7, 2)
     assert abs(a - b) < 1e-12
 
 
@@ -187,7 +204,7 @@ def test_zero_learning_signal_zero_gradient():
     model = Model([linear_layer("head", np.zeros((6, 3)),
                                 [100.0, -100.0, 0.0, 0.0, 0.0, 0.0])],
                   backbone_end=0, class_count=2, has_box_head=True)
-    grads = backward(model, np.zeros(3), 0, boxes=np.zeros(4))
+    _, grads = loss_and_gradients(model, np.zeros((1, 3)), [0], np.zeros((1, 4)))
     norm = math.sqrt(sum(float(np.sum(g * g))
                          for t in grads.values() for g in t.values()))
     assert norm <= 1e-9

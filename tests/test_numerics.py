@@ -3,9 +3,44 @@ import math
 import numpy as np
 import pytest
 
-from bayeslayers.numerics import (NumericsError, ShapeError, Rng, conv2d,
-                                  flatten, gauss_sample, log_sum_exp,
-                                  matmul, max_pool2, relu, softmax)
+from bayeslayers.bayes import GaussianLayerPosterior, sample_layer_weights
+from bayeslayers.network import LayerSpec, Model, forward_batch
+from bayeslayers.numerics import Rng, ShapeError, log_sum_exp, softmax
+
+
+def run_layers(layers, x, width):
+    """Outputs of a headless model built from `layers` on the batch x,
+    through the production forward pass."""
+    logits, _, _ = forward_batch(Model(layers, backbone_end=0, class_count=width), x)
+    return logits
+
+
+def matmul(a, b):
+    """a @ b as a one-layer linear model with zero bias."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    fc = LayerSpec("fc", "linear", {"weight": b.T, "bias": np.zeros(b.shape[1])})
+    return run_layers([fc], a, b.shape[1])
+
+
+def conv2d(x, kernels, stride=1, padding=0):
+    """Cross-correlation of one (C, H, W) image as a conv + flatten model
+    with zero bias, reshaped back to (F, H_out, W_out)."""
+    f, _, kh, kw = kernels.shape
+    ho = (x.shape[1] + 2 * padding - kh) // stride + 1
+    wo = (x.shape[2] + 2 * padding - kw) // stride + 1
+    conv = LayerSpec("conv", "conv2d", {"weight": kernels, "bias": np.zeros(f)},
+                     stride=stride, padding=padding)
+    out = run_layers([conv, LayerSpec("flatten", "flatten")], x[None],
+                     max(f * ho * wo, 1))
+    return out[0].reshape(f, ho, wo)
+
+
+def max_pool2(x):
+    """2x2 pooling of one (C, H, W) image as a pool + flatten model."""
+    c, h, w = x.shape
+    layers = [LayerSpec("pool", "maxpool2"), LayerSpec("flatten", "flatten")]
+    return run_layers(layers, x[None], c * (h // 2) * (w // 2))[0].reshape(c, h // 2, w // 2)
 
 
 def matmul_oracle(a, b):
@@ -115,7 +150,8 @@ def test_conv2d_random_instances_vs_oracle():
 
 
 def test_relu():
-    assert np.array_equal(relu(np.array([-1.0, 2.0])), [0.0, 2.0])
+    got = run_layers([LayerSpec("relu", "relu")], np.array([[-1.0, 2.0]]), 2)
+    assert np.array_equal(got[0], [0.0, 2.0])
 
 
 def test_max_pool2_constant():
@@ -135,7 +171,7 @@ def test_max_pool2_odd_extents_floor():
 
 def test_flatten_preserves_count():
     x = np.zeros((3, 4, 5))
-    assert flatten(x).shape == (60,)
+    assert run_layers([LayerSpec("flatten", "flatten")], x[None], 60)[0].shape == (60,)
 
 
 def test_log_sum_exp_zeros():
@@ -198,14 +234,15 @@ def test_gauss_sample_statistics():
 
 
 def test_gauss_sample_degenerate_width():
-    assert abs(gauss_sample(Rng(0), 5.0, 1e-12) - 5.0) < 1e-9
+    post = GaussianLayerPosterior("w", np.array([5.0]), 1e-12, 0.0)
+    assert abs(sample_layer_weights(post, Rng(0))[0] - 5.0) < 1e-9
 
 
 def test_gauss_sample_rejects_bad_sigma():
-    with pytest.raises(NumericsError):
-        gauss_sample(Rng(0), 0.0, 0.0)
-    with pytest.raises(NumericsError):
-        gauss_sample(Rng(0), 0.0, -1.0)
+    with pytest.raises(ValueError, match="sigma"):
+        GaussianLayerPosterior("w", np.array([0.0]), 0.0, 0.0)
+    with pytest.raises(ValueError, match="sigma"):
+        GaussianLayerPosterior("w", np.array([0.0]), -1.0, 0.0)
 
 
 def test_rng_determinism():

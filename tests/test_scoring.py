@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bayeslayers.scoring import (ScoringConfig, calibrate_gamma, classify,
-                                 energy, nll, score_ensemble,
-                                 uncertainty_score)
+from bayeslayers.scoring import (ScoringConfig, calibrate_gamma, energy, nll,
+                                 score_ensemble, uncertainty_score)
 
 
 def gamma_oracle(scores, tpr_target):
@@ -137,13 +136,6 @@ def test_calibrate_gamma_errors():
         calibrate_gamma([])
     with pytest.raises(ValueError):
         calibrate_gamma([0.5], 0.0)
-
-
-def test_classify_boundary():
-    assert classify(0.7, 0.7) == "ID"
-    assert classify(0.7 - 1e-12, 0.7) == "OOD"
-    assert classify(0.0, 0.0) == "ID"
-    assert classify(-5.0, 0.0) == "OOD"
 
 
 def test_nll_values():
