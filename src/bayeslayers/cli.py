@@ -139,13 +139,17 @@ class RunConfig:
                 "aggregation": self.aggregation, "tpr_target": self.tpr_target}
 
 
-def load_config(path: str, seed: int | None = None,
-                threads: int | None = None) -> RunConfig:
+def _read_json(path: str):
     with open(path) as fh:
         try:
-            raw = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def load_config(path: str, seed: int | None = None,
+                threads: int | None = None) -> RunConfig:
+    raw = _read_json(path)
     if isinstance(raw, dict):
         if seed is not None:
             raw["seed"] = seed
@@ -379,18 +383,33 @@ def cmd_ablate_layers(cfg: RunConfig, model_path: str, out_dir: str) -> int:
     return EXIT_OK
 
 
+def _load_report(path: str) -> dict:
+    """A report.json document with its metrics checked to be numbers."""
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: not a report: expected a JSON object, "
+                          f"got {type(doc).__name__}")
+    metrics = doc.get("metrics")
+    if not isinstance(metrics, dict):
+        raise ConfigError(f"{path}: not a report: no 'metrics' object")
+    for key, value in metrics.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{path}: metric {key!r} is not a number: {value!r}")
+    return doc
+
+
 def cmd_report(paths: list, out_dir: str | None) -> int:
     if not paths:
         raise ConfigError("need at least one report")
-    docs = []
-    for p in paths:
-        with open(p) as fh:
-            docs.append(json.load(fh))
+    docs = [_load_report(p) for p in paths]
     base = json.dumps(docs[0].get("config"), sort_keys=True)
-    for d in docs[1:]:
-        if json.dumps(d.get("config"), sort_keys=True) != base:
-            raise ConfigError("reports were produced with different configs")
     keys = sorted(docs[0]["metrics"])
+    for p, d in zip(paths[1:], docs[1:]):
+        if json.dumps(d.get("config"), sort_keys=True) != base:
+            raise ConfigError(f"{p}: produced with a different config than {paths[0]}")
+        if sorted(d["metrics"]) != keys:
+            raise ConfigError(f"{p}: metrics {sorted(d['metrics'])} differ from "
+                              f"{paths[0]}'s {keys}")
     lines = ["metric,mean,std"]
     text = []
     for key in keys:

@@ -166,8 +166,8 @@ def _fwd_conv(layer, x, training):
     # With sampled weights (T, F, C, kh, kw), x is (1 or T, N, C, H, W): at
     # the first sampled layer one im2col serves all T kernel sets.
     cols = cols.reshape(x.shape[:-3] + cols.shape[1:])
-    out = (np.einsum("...fk,...nkl->...nfl", w.reshape(w.shape[:-3] + (-1,)), cols)
-           + b[..., None, :, None])
+    w2 = w.reshape(w.shape[:-3] + (-1,))
+    out = np.matmul(w2[..., None, :, :], cols) + b[..., None, :, None]
     ho = (x.shape[-2] + 2 * layer.padding - kh) // layer.stride + 1
     wo = (x.shape[-1] + 2 * layer.padding - kw) // layer.stride + 1
     return out.reshape(out.shape[:-1] + (ho, wo)), (x.shape, cols)
@@ -176,11 +176,11 @@ def _fwd_conv(layer, x, training):
 def _bwd_conv(layer, dout, cache):
     x_shape, cols = cache
     w = layer.params["weight"]
-    f = w.shape[0]
-    d2 = dout.reshape(dout.shape[0], f, -1)  # (N, F, L)
-    dw = np.einsum("nfl,nkl->fk", d2, cols).reshape(w.shape)
+    w2 = w.reshape(w.shape[0], -1)  # (F, K)
+    d2 = dout.reshape(dout.shape[0], w.shape[0], -1)  # (N, F, L)
+    dw = np.tensordot(d2, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
     db = d2.sum(axis=(0, 2))
-    dcols = np.einsum("fk,nfl->nkl", w.reshape(f, -1), d2)
+    dcols = np.matmul(w2.T, d2)
     dx = col2im(dcols, x_shape, w.shape[2], w.shape[3], layer.stride, layer.padding)
     return dx, {"weight": dw, "bias": db}
 
@@ -266,29 +266,36 @@ def _bwd_relu(layer, dout, cache):
     return dout * cache, {}
 
 
+def _pool_windows(x, h2, w2):
+    """(N, C, H, W) -> (N, C, h2, 2, w2, 2) view of the 2x2 windows; a
+    trailing odd row or column is dropped. Splitting axes never copies, so
+    writes to the result reach x."""
+    return x[:, :, :2 * h2, :2 * w2].reshape(x.shape[:2] + (h2, 2, w2, 2))
+
+
 def _fwd_maxpool2(layer, x, training):
     if x.ndim != 4:
         raise ShapeError(f"layer {layer.name!r}: expected (N,C,H,W), got {x.shape}")
-    n, c, h, w = x.shape
-    h2, w2 = h // 2, w // 2
+    h2, w2 = x.shape[2] // 2, x.shape[3] // 2
     if h2 < 1 or w2 < 1:
-        raise ShapeError(f"layer {layer.name!r}: input {h}x{w} too small to pool")
-    xc = x[:, :, :2 * h2, :2 * w2]
-    win = xc.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
-    idx = win.argmax(axis=4)
-    out = np.take_along_axis(win, idx[..., None], axis=4)[..., 0]
+        raise ShapeError(f"layer {layer.name!r}: input {x.shape[2]}x{x.shape[3]} too small to pool")
+    win = _pool_windows(x, h2, w2)
+    # the four corners in row-major window order
+    c0, c1, c2, c3 = (win[:, :, :, k // 2, :, k % 2] for k in range(4))
+    # np.maximum returns its second operand on a tie of signed zeros, so
+    # passing the earlier corner second yields the first maximum's value
+    out = np.maximum(np.maximum(c3, c2), np.maximum(c1, c0))
+    # index of the first corner holding the maximum: the gradient goes there
+    idx = np.where(c0 == out, 0, np.where(c1 == out, 1, np.where(c2 == out, 2, 3)))
     return out, (x.shape, idx)
 
 
 def _bwd_maxpool2(layer, dout, cache):
     x_shape, idx = cache
-    n, c, h, w = x_shape
-    h2, w2 = h // 2, w // 2
-    dwin = np.zeros((n, c, h2, w2, 4), dtype=np.float64)
-    np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=4)
     dx = np.zeros(x_shape, dtype=np.float64)
-    dx[:, :, :2 * h2, :2 * w2] = (
-        dwin.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * h2, 2 * w2))
+    win = _pool_windows(dx, x_shape[2] // 2, x_shape[3] // 2)
+    for k in range(4):
+        win[:, :, :, k // 2, :, k % 2] = np.where(idx == k, dout, 0.0)
     return dx, {}
 
 

@@ -82,9 +82,13 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nda
     x: (N, C, H, W) -> (N, C*kh*kw, L) where L = H_out * W_out.
     """
     n, c, h, w = x.shape
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     hp, wp = h + 2 * padding, w + 2 * padding
+    if padding:
+        # np.pad's per-call overhead exceeds the whole patch copy on
+        # micro-cnn sized images
+        xp = np.zeros((n, c, hp, wp), dtype=x.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = x
+        x = xp
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     if ho < 1 or wo < 1:

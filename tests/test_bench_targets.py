@@ -6,11 +6,14 @@ into nulls; these tests catch that without installing the tracer."""
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
 
+from bayeslayers import numerics
 from bayeslayers.bayes import GaussianLayerPosterior, sample_layer_weights
+from bayeslayers.network import build_model, forward_batch, loss_and_gradients
 from bayeslayers.numerics import Rng
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -66,3 +69,27 @@ def test_sampler_draws_through_rng_normals(monkeypatch):
     post = GaussianLayerPosterior("fc", np.zeros(3), 1.0, 0.0)
     sample_layer_weights(post, Rng(0))
     assert calls == [3]
+
+
+def test_conv_layers_go_through_im2col(monkeypatch):
+    # numerics.im2col_s times numerics.im2col wherever a bayeslayers module
+    # holds it, as the tracer wraps it; a conv kernel that bypassed it would
+    # leave the metric at zero
+    calls = []
+    im2col = numerics.im2col
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return im2col(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bayeslayers"):
+            for key, value in list(vars(module).items()):
+                if value is im2col:
+                    monkeypatch.setattr(module, key, counting)
+    model = build_model("micro-cnn", (1, 8, 8), 3)
+    x = np.random.default_rng(0).normal(size=(2, 1, 8, 8))
+    forward_batch(model, x)
+    assert calls == [(2, 1, 8, 8), (2, 8, 4, 4)]
+    loss_and_gradients(model, x, [0, 1], training=True)
+    assert len(calls) == 4

@@ -111,15 +111,34 @@ MALFORMED_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("overrides", [o for _, o in MALFORMED_CONFIGS],
-                         ids=[name for name, _ in MALFORMED_CONFIGS])
-def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, overrides):
-    config = write_config(tmp_path, **overrides)
-    out = tmp_path / "out"
-    out.mkdir()
-    assert run(["train", "--config", config, "--out", str(out)]) == 2
+# whole documents handed to `report`, which reads report.json files
+MALFORMED_REPORTS = [
+    ("report-not-object", [{"policy": "none", "auroc": 0.5}]),
+    ("report-no-metrics", {"config": {}, "seed": 0}),
+    ("report-metric-not-number", {"metrics": {"auroc": "x"}, "config": {}}),
+]
+
+
+@pytest.mark.parametrize(
+    "command,content",
+    [("train", o) for _, o in MALFORMED_CONFIGS]
+    + [("report", d) for _, d in MALFORMED_REPORTS],
+    ids=[name for name, _ in MALFORMED_CONFIGS + MALFORMED_REPORTS])
+def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, command, content):
+    if command == "train":
+        config = write_config(tmp_path, **content)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["train", "--config", config, "--out", str(out)]
+    else:
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(content))
+        argv = ["report", str(path)]
+    assert run(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:"), err
+    if command == "report":
+        assert str(path) in err[0], err
 
 
 def test_threads_flag_below_one_exits_2(tmp_path):
@@ -371,15 +390,31 @@ def test_report_single_input_zero_std(tmp_path):
     assert lines[1] == "auroc,0.9,0"
 
 
-def test_report_mixed_configs_exit_2(tmp_path):
+def write_reports(tmp_path, docs):
     paths = []
-    for i, policy in enumerate(("none", "full")):
-        doc = {"metrics": {"auroc": 0.5}, "config": {"policy": policy},
-               "seed": i, "timings": {}}
+    for i, doc in enumerate(docs):
         p = tmp_path / f"r{i}.json"
-        p.write_text(json.dumps(doc))
+        p.write_text(json.dumps({"seed": i, "timings": {}, **doc}))
         paths.append(str(p))
+    return paths
+
+
+def test_report_mixed_configs_exit_2(tmp_path, capsys):
+    paths = write_reports(tmp_path, [
+        {"metrics": {"auroc": 0.5}, "config": {"policy": policy}}
+        for policy in ("none", "full")])
     assert run(["report", *paths]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {paths[1]}:"), err
+
+
+def test_report_mismatched_metrics_exit_2(tmp_path, capsys):
+    paths = write_reports(tmp_path, [
+        {"metrics": {"auroc": 0.5, "nll": 1.0}, "config": {}},
+        {"metrics": {"auroc": 0.5}, "config": {}}])
+    assert run(["report", *paths]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {paths[1]}:"), err
 
 
 def test_sampler_exhaustion_exits_5(tmp_path, monkeypatch):

@@ -188,6 +188,10 @@ def test_gradients_match_finite_differences():
     x = rng.normal(size=(2, 1, 6, 6))
     labels = np.array([0, 2])
     boxes = rng.uniform(0, 3, size=(2, 4))
+    assert_gradients_match_finite_differences(model, x, labels, boxes)
+
+
+def assert_gradients_match_finite_differences(model, x, labels, boxes):
     _, grads = loss_and_gradients(model, x, labels, boxes)
     fd = finite_difference_grads(model, x, labels, boxes)
     for lname, tensors in fd.items():
@@ -196,6 +200,64 @@ def test_gradients_match_finite_differences():
             rel = np.abs(got - want) / np.maximum.reduce(
                 [np.abs(got), np.abs(want), np.full_like(want, 1e-4)])
             assert rel.max() <= 1e-4, f"{lname}.{pname}: rel err {rel.max():.2e}"
+
+
+def test_gradients_match_finite_differences_strided_conv_and_odd_pool():
+    # stride 2 without padding turns 11x11 into 5x5, so the pool drops a
+    # trailing row and column
+    rng = np.random.default_rng(14)
+    layers = [
+        LayerSpec("conv1", "conv2d",
+                  {"weight": rng.normal(scale=0.5, size=(2, 2, 3, 3)),
+                   "bias": rng.normal(size=2)}, stride=2, padding=0),
+        LayerSpec("pool1", "maxpool2"),
+        LayerSpec("flatten", "flatten"),
+        LayerSpec("head", "linear",
+                  {"weight": rng.normal(scale=0.2, size=(7, 2 * 2 * 2)),
+                   "bias": rng.normal(scale=0.1, size=7)}),
+    ]
+    model = Model(layers, backbone_end=3, class_count=3, has_box_head=True)
+    x = rng.normal(size=(2, 2, 11, 11))
+    assert_gradients_match_finite_differences(
+        model, x, np.array([1, 2]), rng.uniform(0, 3, size=(2, 4)))
+
+
+def test_max_pool_gradient_goes_to_first_maximum():
+    # A 1x1 conv over one-hot position channels makes its weight the pool's
+    # 4x4 input, so the weight gradient is the gradient the pool routes back.
+    # Windows in row-major order (0,0),(0,1),(1,0),(1,1) hold 2, 3, 4 and 2
+    # equal maxima.
+    windows = [[1.0, 5.0, 5.0, 2.0], [3.0, 7.0, 7.0, 7.0],
+               [4.0, 4.0, 4.0, 4.0], [0.0, 2.0, 9.0, 9.0]]
+    first_max = [1, 1, 0, 2]
+    image = np.zeros((4, 4))
+    for wi, values in enumerate(windows):
+        r, c = 2 * (wi // 2), 2 * (wi % 2)
+        image[r:r + 2, c:c + 2] = np.reshape(values, (2, 2))
+    rng = np.random.default_rng(15)
+    layers = [
+        LayerSpec("pick", "conv2d", {"weight": image.reshape(1, 16, 1, 1),
+                                     "bias": np.zeros(1)}),
+        LayerSpec("pool", "maxpool2"),
+        LayerSpec("flatten", "flatten"),
+        LayerSpec("head", "linear", {"weight": rng.normal(size=(3, 4)),
+                                     "bias": np.zeros(3)}),
+    ]
+    model = Model(layers, backbone_end=3, class_count=3)
+    x = np.eye(16).reshape(1, 16, 4, 4)
+    logits, _, _ = forward_batch(model, x)
+    _, grads = loss_and_gradients(model, x, [0])
+    routed = grads["pick"]["weight"].reshape(4, 4)
+    got = []
+    for wi, k in enumerate(first_max):
+        r, c = 2 * (wi // 2), 2 * (wi % 2)
+        window = routed[r:r + 2, c:c + 2].reshape(4)
+        assert np.all(np.delete(window, k) == 0.0), (wi, window)
+        got.append(window[k])
+    # the first maximum receives the whole gradient the head sends back
+    want = layers[3].params["weight"].T @ (softmax(logits[0]) - np.eye(3)[0])
+    assert np.all(want != 0.0)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_zero_learning_signal_zero_gradient():
