@@ -3,9 +3,10 @@ run the layer-selection ablation, and merge reports.
 
 Every command is a pure function of (config file, input files, seed);
 reruns produce byte-identical outputs except the timings block. Exit codes:
-0 success, 2 config error, 3 I/O error, 4 training divergence, 5 sampler
-exhaustion, 6 numeric error (a non-finite forward output during
-calibrate, eval or ablate-layers).
+0 success, 2 config error, 3 I/O error (a missing or malformed model or
+dataset file too), 4 training divergence, 5 sampler exhaustion, 6 numeric
+error (a non-finite forward output during calibrate, eval or
+ablate-layers).
 """
 
 import argparse
@@ -29,8 +30,8 @@ from .network import (PersistenceError, TrainConfig, TrainingDivergedError,
                       PRESETS, build_model, forward_batch, load_model,
                       save_model, train_sgd)
 from .numerics import NumericsError, ShapeError
-from .scoring import (AGGREGATIONS, OodScoreRecord, ScoringConfig,
-                      calibrate_gamma, nll, score_ensemble)
+from .scoring import (AGGREGATIONS, ScoringConfig, calibrate_gamma, nll,
+                      score_ensemble)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -173,17 +174,16 @@ def resolve_dataset(cfg: RunConfig) -> datasets.BenchmarkPairing:
 
 def build_and_train(cfg: RunConfig, pairing: datasets.BenchmarkPairing):
     """Construct the preset architecture for this pairing and train it."""
-    first = pairing.id_train[0]
-    k = max(s.label for s in pairing.id_train) + 1
-    has_box = first.box is not None
+    train = pairing.id_train
     missing = [key for key, f in _TRAIN_FIELDS.items()
                if f.default is MISSING and key not in cfg.train]
     if missing:
         raise ConfigError(f"train needs keys {missing}")
-    model = build_model(cfg.architecture, first.input.shape, k,
-                        has_box_head=has_box, seed=cfg.seed)
+    model = build_model(cfg.architecture, train.inputs.shape[1:],
+                        int(train.labels.max()) + 1,
+                        has_box_head=train.boxes is not None, seed=cfg.seed)
     train_cfg = TrainConfig(seed=cfg.seed, **cfg.train)
-    return train_sgd(model, pairing.id_train, train_cfg)
+    return train_sgd(model, train, train_cfg)
 
 
 def _thread_count(cfg: RunConfig) -> int:
@@ -193,34 +193,32 @@ def _thread_count(cfg: RunConfig) -> int:
     return max(1, int(env)) if env else 1
 
 
-def _ensemble_logits(model, samples, cfg: RunConfig):
-    """Ensemble logits (N, T, K) and boxes (N, T, 4) or None of `samples`.
+def _ensemble_logits(model, inputs: np.ndarray, cfg: RunConfig):
+    """Ensemble logits (N, T, K) and boxes (N, T, 4) or None of the inputs
+    (N, ...).
 
-    Sample i draws its weights from the child generator streams keyed by
+    Input i draws its weights from the child generator streams keyed by
     (i,), so results do not depend on the worker count. An empty selection
     draws nothing: it is one batched deterministic forward, with T = 1.
     """
-    inputs = [s.input for s in samples]
     selection = select_layers(model, SelectionPolicy(cfg.policy, cfg.layers))
     if not selection:
-        logits, boxes, _ = forward_batch(model, np.stack(inputs))
+        logits, boxes, _ = forward_batch(model, inputs)
         return logits[:, None], None if boxes is None else boxes[:, None]
     posteriors = build_posteriors(model, selection, cfg.alpha, cfg.q)
     ens_cfg = EnsembleConfig(sample_count=cfg.t_mc, seed=cfg.seed)
 
-    def work(item):
-        idx, x = item
-        return mc_predict(model, posteriors, x, ens_cfg, stream=(idx,))
+    def work(idx):
+        return mc_predict(model, posteriors, inputs[idx], ens_cfg, stream=(idx,))
 
     workers = _thread_count(cfg)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, enumerate(inputs)))
+            results = list(pool.map(work, range(len(inputs))))
     else:
-        results = [work(item) for item in enumerate(inputs)]
-    logits = np.stack([lg for lg, _ in results])
-    boxes = None if results[0][1] is None else np.stack([b for _, b in results])
-    return logits, boxes
+        results = [work(idx) for idx in range(len(inputs))]
+    logits, boxes = zip(*results)
+    return np.stack(logits), None if boxes[0] is None else np.stack(boxes)
 
 
 def _scoring_config(cfg: RunConfig) -> ScoringConfig:
@@ -228,29 +226,30 @@ def _scoring_config(cfg: RunConfig) -> ScoringConfig:
 
 
 def evaluate_pairing(model, pairing, cfg: RunConfig):
-    """Score every test sample (ID first, then OOD) with the MC ensemble and
-    compute the report."""
+    """Score every test input, the ID split then the OOD split, with the MC
+    ensemble and compute the report.
+
+    Returns (report, per_input, scores): per_input maps `score`,
+    `score_std`, `energy_mean` and `predicted_class` to arrays over the test
+    inputs in that order, and scores is their ScoreSet.
+    """
     t0 = time.perf_counter()
-    test = list(pairing.id_test) + list(pairing.ood_test)
-    logits, boxes = _ensemble_logits(model, test, cfg)
+    id_test = pairing.id_test
+    inputs = np.concatenate([id_test.inputs, pairing.ood_test.inputs])
+    logits, boxes = _ensemble_logits(model, inputs, cfg)
     score, score_std, energy_mean = score_ensemble(logits, _scoring_config(cfg))
     mean_probs, mean_box = predictive_mean(logits, boxes)
     predicted = np.argmax(mean_probs, axis=-1)
-    records = [
-        OodScoreRecord(sample_id=i, energy_mean=float(energy_mean[i]),
-                       score=float(score[i]), score_std=float(score_std[i]),
-                       is_id_truth=(s.tag == "id"), predicted_class=int(predicted[i]),
-                       predicted_box=None if mean_box is None else mean_box[i])
-        for i, s in enumerate(test)]
+    per_input = {"score": score, "score_std": score_std, "energy_mean": energy_mean,
+                 "predicted_class": predicted}
 
-    n_id = len(pairing.id_test)
-    id_records = records[:n_id]
+    n_id = len(id_test)
     scores = ScoreSet(score[:n_id], score[n_id:])
     gamma = calibrate_gamma(scores.id_scores, cfg.tpr_target)
-    predictions = [(r.predicted_class, r.predicted_box) for r in id_records]
-    truths = [(s.label, s.box) for s in pairing.id_test]
-    accuracy, det_accuracy = id_task_metrics(predictions, truths)
-    id_nll = nll(zip(mean_probs[:n_id], (s.label for s in pairing.id_test)))
+    accuracy, det_accuracy = id_task_metrics(
+        predicted[:n_id], id_test.labels,
+        None if mean_box is None else mean_box[:n_id], id_test.boxes)
+    id_nll = nll(mean_probs[:n_id], id_test.labels)
     report = BenchmarkReport(
         fpr95=fpr_at_tpr(scores, cfg.tpr_target),
         auroc=auroc(scores),
@@ -262,7 +261,7 @@ def evaluate_pairing(model, pairing, cfg: RunConfig):
         seed=cfg.seed,
         timings={"eval_seconds": time.perf_counter() - t0},
     )
-    return report, records, scores
+    return report, per_input, scores
 
 
 # ---------------------------------------------------------------------------
@@ -275,24 +274,24 @@ def _require_dir(path: str) -> str:
     return path
 
 
-def _write_report(report: BenchmarkReport, out_dir: str, records=None,
-                  scores: ScoreSet | None = None, name: str = "report.json"):
+def _write_report(report: BenchmarkReport, out_dir: str, per_input: dict,
+                  scores: ScoreSet) -> None:
+    """report.json, roc.csv and scores.csv of one evaluate_pairing result."""
     doc = {"metrics": report.metrics_dict(), "config": report.config,
            "seed": report.seed, "timings": report.timings}
-    with open(os.path.join(out_dir, name), "w") as fh:
+    with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if scores is not None:
-        with open(os.path.join(out_dir, "roc.csv"), "w") as fh:
-            fh.write(roc_to_csv(roc_curve(scores)))
-    if records is not None:
-        with open(os.path.join(out_dir, "scores.csv"), "w") as fh:
-            fh.write("sample_id,split,score,score_std,energy_mean,predicted_class\n")
-            for r in records:
-                split = "id" if r.is_id_truth else "ood"
-                fh.write(f"{r.sample_id},{split},{r.score:.9g},{r.score_std:.9g},"
-                         f"{r.energy_mean:.9g},{r.predicted_class}\n")
-    return doc
+    with open(os.path.join(out_dir, "roc.csv"), "w") as fh:
+        fh.write(roc_to_csv(roc_curve(scores)))
+    # rows follow evaluate_pairing's order: the ID inputs lead
+    n_id = scores.id_scores.size
+    rows = zip(*(per_input[key].tolist()
+                 for key in ("score", "score_std", "energy_mean", "predicted_class")))
+    with open(os.path.join(out_dir, "scores.csv"), "w") as fh:
+        fh.write("sample_id,split,score,score_std,energy_mean,predicted_class\n")
+        fh.writelines(f"{i},{'id' if i < n_id else 'ood'},{s:.9g},{sd:.9g},{e:.9g},{c}\n"
+                      for i, (s, sd, e, c) in enumerate(rows))
 
 
 def cmd_gen_data(cfg: RunConfig, out_dir: str) -> int:
@@ -324,7 +323,7 @@ def cmd_calibrate(cfg: RunConfig, model_path: str, out_dir: str) -> int:
     pairing = resolve_dataset(cfg)
     # gamma depends on the ID scores alone; ID inputs lead the test list, so
     # they keep the streams they draw from in `eval`
-    logits, _ = _ensemble_logits(model, pairing.id_test, cfg)
+    logits, _ = _ensemble_logits(model, pairing.id_test.inputs, cfg)
     score, _, _ = score_ensemble(logits, _scoring_config(cfg))
     gamma = calibrate_gamma(score, cfg.tpr_target)
     doc = {"gamma": gamma, "tpr_target": cfg.tpr_target, "seed": cfg.seed}
@@ -339,8 +338,8 @@ def cmd_eval(cfg: RunConfig, model_path: str, out_dir: str) -> int:
     _require_dir(out_dir)
     model = load_model(model_path)
     pairing = resolve_dataset(cfg)
-    report, records, scores = evaluate_pairing(model, pairing, cfg)
-    _write_report(report, out_dir, records, scores)
+    report, per_input, scores = evaluate_pairing(model, pairing, cfg)
+    _write_report(report, out_dir, per_input, scores)
     print(json.dumps(report.metrics_dict(), sort_keys=True))
     return EXIT_OK
 
@@ -474,7 +473,7 @@ def main(argv=None) -> int:
         if args.command == "ablate-layers":
             return cmd_ablate_layers(cfg, args.model, args.out)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, KeyError, ShapeError) as exc:
+    except (ConfigError, ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TrainingDivergedError as exc:

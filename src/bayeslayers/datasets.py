@@ -1,21 +1,23 @@
 """Synthetic ID/OOD benchmark data and its on-disk form.
 
 Every generator is a pure function of its seed and parameters; reruns are
-byte-identical. OOD samples are tagged so they can never leak into
+byte-identical. OOD splits are tagged so they can never leak into
 training.
 """
 
 import hashlib
 import json
 import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .network import PersistenceError
 from .numerics import Rng
 
 __all__ = [
-    "LabeledSample",
+    "Split",
     "BenchmarkPairing",
     "gen_blobs",
     "gen_shapes",
@@ -31,18 +33,38 @@ OOD_SHAPES = ("triangle", "ring")
 
 
 @dataclass
-class LabeledSample:
-    input: np.ndarray
-    label: int
-    box: np.ndarray | None = None
+class Split:
+    """N samples as arrays: inputs (N, ...) float64, labels (N,) int64,
+    boxes (N, 4) float64 or None, and the split's tag ("id" or "ood")."""
+    inputs: np.ndarray
+    labels: np.ndarray
+    boxes: np.ndarray | None = None
     tag: str = "id"
+
+    def __post_init__(self):
+        self.inputs = np.asarray(self.inputs, dtype=np.float64)
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.boxes is not None:
+            self.boxes = np.asarray(self.boxes, dtype=np.float64)
+        rows = self.inputs.shape[:1]
+        boxes_ok = self.boxes is None or self.boxes.shape == rows + (4,)
+        if not rows or self.labels.shape != rows or not boxes_ok:
+            raise ValueError(f"inputs {self.inputs.shape}, labels {self.labels.shape} and boxes "
+                             f"{None if self.boxes is None else self.boxes.shape} do not line up")
+
+    def __len__(self) -> int:
+        return self.labels.shape[0]
+
+
+# (split name, tag) in file and digest order
+_SPLITS = (("id_train", "id"), ("id_test", "id"), ("ood_test", "ood"))
 
 
 @dataclass
 class BenchmarkPairing:
-    id_train: list
-    id_test: list
-    ood_test: list
+    id_train: Split
+    id_test: Split
+    ood_test: Split
     provenance: dict = field(default_factory=dict)
 
 
@@ -70,17 +92,15 @@ def gen_blobs(seed: int, k: int = 3, n_per_class: int = 200, dim: int = 2,
     ood_center = centers[0] + ood_offset * inward
 
     n_test = max(1, n_per_class // 2)
-    id_train, id_test = [], []
-    for cls in range(k):
-        pts = rng.split(0, cls).normals((n_per_class + n_test) * dim)
-        pts = pts.reshape(n_per_class + n_test, dim) + centers[cls]
-        for row in pts[:n_per_class]:
-            id_train.append(LabeledSample(row.copy(), cls, tag="id"))
-        for row in pts[n_per_class:]:
-            id_test.append(LabeledSample(row.copy(), cls, tag="id"))
+    pts = np.stack([rng.split(0, cls).normals((n_per_class + n_test) * dim)
+                    .reshape(n_per_class + n_test, dim) + centers[cls]
+                    for cls in range(k)])
+    id_train = Split(pts[:, :n_per_class].reshape(-1, dim),
+                     np.repeat(np.arange(k), n_per_class))
+    id_test = Split(pts[:, n_per_class:].reshape(-1, dim), np.repeat(np.arange(k), n_test))
     n_ood = k * n_test
     ood_pts = rng.split(1).normals(n_ood * dim).reshape(n_ood, dim) + ood_center
-    ood_test = [LabeledSample(row.copy(), 0, tag="ood") for row in ood_pts]
+    ood_test = Split(ood_pts, np.zeros(n_ood), tag="ood")
     prov = {"generator": "blobs", "seed": seed,
             "params": {"k": k, "n_per_class": n_per_class, "dim": dim,
                        "id_center_scale": id_center_scale, "ood_offset": ood_offset}}
@@ -138,17 +158,17 @@ def gen_shapes(seed: int, image_size: int = 28, id_shapes=ID_SHAPES,
     rng = Rng(seed)
     max_size = min(20, image_size - 6)
     n_test = n // 2
-    id_train, id_test = [], []
-    for cls, kind in enumerate(id_shapes):
-        for i in range(n + n_test):
-            img, box = _render_shape(kind, max_size, image_size, rng.split(0, cls, i))
-            sample = LabeledSample(img, cls, box=box, tag="id")
-            (id_train if i < n else id_test).append(sample)
-    ood_test = []
-    for off, kind in enumerate(ood_shapes):
-        for i in range(n_test):
-            img, box = _render_shape(kind, max_size, image_size, rng.split(1, off, i))
-            ood_test.append(LabeledSample(img, 0, box=box, tag="ood"))
+    rendered = [_render_shape(kind, max_size, image_size, rng.split(0, cls, i))
+                for cls, kind in enumerate(id_shapes) for i in range(n + n_test)]
+    images, boxes = map(np.stack, zip(*rendered))
+    labels = np.repeat(np.arange(len(id_shapes)), n + n_test)
+    train = np.tile(np.arange(n + n_test) < n, len(id_shapes))
+    id_train = Split(images[train], labels[train], boxes[train])
+    id_test = Split(images[~train], labels[~train], boxes[~train])
+    rendered = [_render_shape(kind, max_size, image_size, rng.split(1, off, i))
+                for off, kind in enumerate(ood_shapes) for i in range(n_test)]
+    images, boxes = map(np.stack, zip(*rendered))
+    ood_test = Split(images, np.zeros(len(images)), boxes, tag="ood")
     prov = {"generator": "shapes", "seed": seed,
             "params": {"image_size": image_size, "id_shapes": list(id_shapes),
                        "ood_shapes": list(ood_shapes), "n": n}}
@@ -159,43 +179,31 @@ def gen_shapes(seed: int, image_size: int = 28, id_shapes=ID_SHAPES,
 # pairing persistence + content digest
 # ---------------------------------------------------------------------------
 
-def _split_arrays(samples: list):
-    inputs = np.stack([s.input for s in samples]).astype(np.float64)
-    labels = np.asarray([s.label for s in samples], dtype=np.int64)
-    boxes = None
-    if samples and samples[0].box is not None:
-        boxes = np.stack([s.box for s in samples]).astype(np.float64)
-    return inputs, labels, boxes
-
-
 def content_digest(pairing: BenchmarkPairing) -> str:
     """SHA-256 over the raw sample arrays in a fixed order (independent of
     container-file bytes)."""
     h = hashlib.sha256()
-    for split_name, samples in (("id_train", pairing.id_train),
-                                ("id_test", pairing.id_test),
-                                ("ood_test", pairing.ood_test)):
+    for split_name, _ in _SPLITS:
+        split = getattr(pairing, split_name)
         h.update(split_name.encode())
-        inputs, labels, boxes = _split_arrays(samples)
-        h.update(np.ascontiguousarray(inputs).tobytes())
-        h.update(labels.tobytes())
-        if boxes is not None:
-            h.update(np.ascontiguousarray(boxes).tobytes())
+        h.update(split.inputs.tobytes())
+        h.update(split.labels.tobytes())
+        if split.boxes is not None:
+            h.update(split.boxes.tobytes())
     return h.hexdigest()
 
 
 def save_pairing(pairing: BenchmarkPairing, directory: str) -> dict:
-    """Write data.npz plus a manifest.json recording provenance and the
+    """Write data.npz (`<split>_inputs`, `<split>_labels`, and `<split>_boxes`
+    when there are boxes) plus a manifest.json recording provenance and the
     content digest; returns the manifest."""
     arrays = {}
-    for split_name, samples in (("id_train", pairing.id_train),
-                                ("id_test", pairing.id_test),
-                                ("ood_test", pairing.ood_test)):
-        inputs, labels, boxes = _split_arrays(samples)
-        arrays[f"{split_name}_inputs"] = inputs
-        arrays[f"{split_name}_labels"] = labels
-        if boxes is not None:
-            arrays[f"{split_name}_boxes"] = boxes
+    for split_name, _ in _SPLITS:
+        split = getattr(pairing, split_name)
+        arrays[f"{split_name}_inputs"] = split.inputs
+        arrays[f"{split_name}_labels"] = split.labels
+        if split.boxes is not None:
+            arrays[f"{split_name}_boxes"] = split.boxes
     np.savez(os.path.join(directory, "data.npz"), **arrays)
     manifest = dict(pairing.provenance)
     manifest["digest"] = content_digest(pairing)
@@ -206,22 +214,31 @@ def save_pairing(pairing: BenchmarkPairing, directory: str) -> dict:
 
 
 def load_pairing(directory: str) -> BenchmarkPairing:
-    with open(os.path.join(directory, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    data = np.load(os.path.join(directory, "data.npz"))
-    splits = {}
-    for split_name, tag in (("id_train", "id"), ("id_test", "id"), ("ood_test", "ood")):
-        inputs = data[f"{split_name}_inputs"]
-        labels = data[f"{split_name}_labels"]
-        boxes = data.get(f"{split_name}_boxes")
-        splits[split_name] = [
-            LabeledSample(inputs[i], int(labels[i]),
-                          box=None if boxes is None else boxes[i], tag=tag)
-            for i in range(inputs.shape[0])
-        ]
+    """Read what save_pairing wrote. A malformed manifest.json or data.npz,
+    or arrays that do not match the manifest's digest, raise
+    PersistenceError naming the file; a missing file raises OSError."""
+    manifest_path = os.path.join(directory, "manifest.json")
+    with open(manifest_path) as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise PersistenceError(f"{manifest_path}: invalid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise PersistenceError(f"{manifest_path}: not a JSON object")
+    data_path = os.path.join(directory, "data.npz")
+    with open(data_path, "rb") as fh:
+        try:
+            data = np.load(fh)
+            splits = [Split(data[f"{name}_inputs"], data[f"{name}_labels"],
+                            data.get(f"{name}_boxes"), tag)
+                      for name, tag in _SPLITS]
+        # a file that is not an npz archive fails as one of these, depending
+        # on its first bytes; a missing array as a KeyError
+        except (EOFError, LookupError, ValueError, zipfile.BadZipFile) as exc:
+            raise PersistenceError(f"{data_path}: not a dataset archive: {exc}") from exc
     digest = manifest.pop("digest", None)
-    pairing = BenchmarkPairing(splits["id_train"], splits["id_test"],
-                               splits["ood_test"], manifest)
+    pairing = BenchmarkPairing(*splits, manifest)
     if digest is not None and content_digest(pairing) != digest:
-        raise ValueError("dataset content does not match manifest digest")
+        raise PersistenceError(f"{data_path}: dataset content does not match "
+                               f"the digest in {manifest_path}")
     return pairing

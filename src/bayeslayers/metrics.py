@@ -80,13 +80,12 @@ def roc_curve(scores: ScoreSet) -> list:
     """ROC points [(threshold, tpr, fpr), ...] at descending thresholds:
     the (0,0) endpoint at +inf, one point per distinct observed score.
     Trapezoid area over the curve equals auroc()."""
-    ids, oods = scores.id_scores, scores.ood_scores
+    ids, oods = np.sort(scores.id_scores), np.sort(scores.ood_scores)
     thresholds = np.unique(np.concatenate([ids, oods]))[::-1]
-    points = [(math.inf, 0.0, 0.0)]
-    for thr in thresholds:
-        tpr = float(np.mean(ids >= thr))
-        fpr = float(np.mean(oods >= thr))
-        points.append((float(thr), tpr, fpr))
+    # the share of each population scoring at or above each threshold
+    tpr = (ids.size - np.searchsorted(ids, thresholds, "left")) / ids.size
+    fpr = (oods.size - np.searchsorted(oods, thresholds, "left")) / oods.size
+    points = [(math.inf, 0.0, 0.0), *zip(thresholds.tolist(), tpr.tolist(), fpr.tolist())]
     if points[-1][1:] != (1.0, 1.0):
         points.append((float(thresholds[-1]), 1.0, 1.0))
     return points
@@ -100,42 +99,42 @@ def roc_to_csv(points: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def iou(box_a, box_b) -> float:
-    """Intersection-over-union of two [x_min, y_min, x_max, y_max] boxes."""
-    a = np.asarray(box_a, dtype=np.float64).reshape(-1)
-    b = np.asarray(box_b, dtype=np.float64).reshape(-1)
+def iou(box_a, box_b):
+    """Intersection-over-union of [x_min, y_min, x_max, y_max] boxes on the
+    last axis, broadcast over the leading axes; a float for two boxes."""
+    a = np.asarray(box_a, dtype=np.float64)
+    b = np.asarray(box_b, dtype=np.float64)
     for box in (a, b):
-        if box.size != 4 or box[0] > box[2] or box[1] > box[3]:
+        if box.shape[-1:] != (4,) or np.any(box[..., :2] > box[..., 2:]):
             raise ValueError(f"malformed box {box}")
-    ix = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
-    iy = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
+    ix = np.maximum(0.0, np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0]))
+    iy = np.maximum(0.0, np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1]))
     inter = ix * iy
-    union = ((a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter)
-    return float(inter / union) if union > 0 else 1.0
+    union = ((a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+             + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]) - inter)
+    out = np.divide(inter, union, out=np.ones_like(inter), where=union > 0)
+    return float(out) if out.ndim == 0 else out
 
 
-def id_task_metrics(predictions: list, truths: list):
+def id_task_metrics(pred_classes, true_classes, pred_boxes=None, true_boxes=None):
     """(classification accuracy, detection accuracy at IoU >= 0.5).
 
-    predictions/truths: aligned lists of (class, box or None). Detection
-    accuracy requires both the correct class and IoU >= 0.5; it is None when
-    no boxes are present.
+    pred_classes/true_classes: (N,) class indices; pred_boxes/true_boxes:
+    (N, 4) boxes or None. A predicted box's corners are put in order before
+    the IoU. Detection accuracy requires both the correct class and IoU >=
+    0.5; it is None unless both box arrays are given.
     """
-    if len(predictions) != len(truths):
-        raise ValueError(f"length mismatch: {len(predictions)} vs {len(truths)}")
-    if not predictions:
+    pred = np.asarray(pred_classes).reshape(-1)
+    true = np.asarray(true_classes).reshape(-1)
+    if pred.size != true.size:
+        raise ValueError(f"length mismatch: {pred.size} vs {true.size}")
+    if pred.size == 0:
         raise ValueError("empty prediction list")
-    correct = 0
-    detected = 0
-    have_boxes = False
-    for (p_cls, p_box), (t_cls, t_box) in zip(predictions, truths):
-        ok = p_cls == t_cls
-        correct += ok
-        if p_box is not None and t_box is not None:
-            have_boxes = True
-            p = np.asarray(p_box, dtype=np.float64)
-            p = np.array([min(p[0], p[2]), min(p[1], p[3]),
-                          max(p[0], p[2]), max(p[1], p[3])])
-            detected += ok and iou(p, t_box) >= 0.5
-    n = len(predictions)
-    return correct / n, (detected / n if have_boxes else None)
+    correct = pred == true
+    accuracy = np.count_nonzero(correct) / pred.size
+    if pred_boxes is None or true_boxes is None:
+        return accuracy, None
+    # sort each box's two x and two y coordinates into min, max order
+    p = np.sort(np.reshape(pred_boxes, (-1, 2, 2)), axis=1).reshape(-1, 4)
+    detected = correct & (iou(p, true_boxes) >= 0.5)
+    return accuracy, np.count_nonzero(detected) / pred.size

@@ -403,29 +403,21 @@ def loss_and_gradients(model: Model, inputs: np.ndarray, labels: np.ndarray,
 # training
 # ---------------------------------------------------------------------------
 
-def _stack_dataset(model, dataset):
-    inputs = np.stack([np.asarray(s.input, dtype=np.float64) for s in dataset])
-    labels = np.asarray([s.label for s in dataset], dtype=np.int64)
-    boxes = None
-    if model.has_box_head:
-        boxes = np.stack([np.asarray(s.box, dtype=np.float64) for s in dataset])
-    return inputs, labels, boxes
-
-
 def train_sgd(model: Model, dataset, cfg: TrainConfig):
-    """SGD with momentum and decoupled weight decay. Deterministic in cfg.seed.
+    """SGD with momentum and decoupled weight decay on a `datasets.Split`.
+    Deterministic in cfg.seed.
 
     Weight decay is applied directly to conv/linear weight tensors (not via
     the gradient); biases and batchnorm affines are not decayed. Returns
     (model, per-epoch mean loss list). Raises TrainingDivergedError when the
     loss becomes non-finite.
     """
-    if not dataset:
+    if dataset.tag == "ood":
+        raise ValueError("OOD-tagged split presented during training")
+    if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    for s in dataset:
-        if getattr(s, "tag", "id") == "ood":
-            raise ValueError("OOD-tagged sample presented during training")
-    inputs, labels, boxes = _stack_dataset(model, dataset)
+    inputs, labels = dataset.inputs, dataset.labels
+    boxes = dataset.boxes if model.has_box_head else None
     n = inputs.shape[0]
     rng = Rng(cfg.seed)
     velocity = {

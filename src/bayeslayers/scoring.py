@@ -15,7 +15,6 @@ from .numerics import log_sum_exp
 
 __all__ = [
     "ScoringConfig",
-    "OodScoreRecord",
     "energy",
     "uncertainty_score",
     "score_ensemble",
@@ -39,17 +38,6 @@ class ScoringConfig:
             raise ValueError("phi must be positive")
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
-
-
-@dataclass
-class OodScoreRecord:
-    sample_id: int
-    energy_mean: float
-    score: float
-    score_std: float
-    is_id_truth: bool
-    predicted_class: int
-    predicted_box: np.ndarray | None = None
 
 
 def energy(logits: np.ndarray, temperature: float = 1.0):
@@ -101,7 +89,7 @@ def score_ensemble(logits: np.ndarray, cfg: ScoringConfig):
 def calibrate_gamma(id_scores, tpr_target: float = 0.95) -> float:
     """Largest observed score gamma such that the fraction of ID scores >=
     gamma is at least tpr_target (count threshold ceil(tpr_target * n))."""
-    scores = np.asarray(list(id_scores), dtype=np.float64)
+    scores = np.asarray(id_scores, dtype=np.float64).reshape(-1)
     if scores.size == 0:
         raise ValueError("empty score list")
     if not 0 < tpr_target <= 1:
@@ -110,19 +98,20 @@ def calibrate_gamma(id_scores, tpr_target: float = 0.95) -> float:
     return float(np.sort(scores)[::-1][k - 1])
 
 
-def nll(probabilities) -> float:
+def nll(probabilities, labels) -> float:
     """Mean negative log probability of the true labels.
 
-    probabilities: iterable of (probability vector, true label index).
-    Probabilities are clamped below at 1e-300 before the log.
+    probabilities: (N, K) probability vectors; labels: (N,) true class
+    indices. Probabilities are clamped below at 1e-300 before the log.
     """
-    items = list(probabilities)
-    if not items:
+    probs = np.asarray(probabilities, dtype=np.float64)
+    labels = np.asarray(labels).reshape(-1)
+    if labels.size == 0:
         raise ValueError("empty probability list")
-    total = 0.0
-    for probs, label in items:
-        probs = np.asarray(probs, dtype=np.float64).reshape(-1)
-        if not 0 <= label < probs.size:
-            raise IndexError(f"label {label} out of range")
-        total -= math.log(max(float(probs[label]), 1e-300))
-    return total / len(items)
+    if np.any((labels < 0) | (labels >= probs.shape[-1])):
+        raise IndexError(f"a label in {labels} is out of range")
+    picked = probs[np.arange(labels.size), labels]
+    # summed in label order (cumsum is sequential), not pairwise, so the
+    # value matches a running total over the inputs
+    total = np.cumsum(np.log(np.maximum(picked, 1e-300)))[-1]
+    return float(-total / labels.size)

@@ -221,8 +221,8 @@ SHAPES_TRAIN = {"learning_rate": 0.02, "epochs": 50, "batch_size": 32,
 
 def run_benchmark(pairing, cfg):
     model, _ = build_and_train(cfg, pairing)
-    report, records, _ = evaluate_pairing(model, pairing, cfg)
-    return model, report, records
+    report, per_input, _ = evaluate_pairing(model, pairing, cfg)
+    return model, report, per_input
 
 
 def test_criterion_08_blobs_benchmark():
@@ -251,8 +251,8 @@ def test_criterion_08_blobs_benchmark():
         bayes_cfg = RunConfig(dataset=dataset, architecture="micro-mlp",
                               train=BLOBS_TRAIN, policy="linear_all", t_mc=30,
                               alpha=0.05, q=0.05, seed=seed, threads=4)
-        report, records, _ = evaluate_pairing(model, pairing, bayes_cfg)
-        std_frac = float(np.mean([r.score_std > 0 for r in records]))
+        report, per_input, _ = evaluate_pairing(model, pairing, bayes_cfg)
+        std_frac = float(np.mean(per_input["score_std"] > 0))
         details.append((seed, base_report.auroc, report.auroc, std_frac))
         if seed == 0:
             assert base_report.auroc >= 0.95, f"baseline auroc {base_report.auroc}"
@@ -273,8 +273,8 @@ def test_criterion_09_shapes_benchmark():
                         architecture="micro-cnn", train=SHAPES_TRAIN,
                         policy="conv_all", t_mc=30, alpha=0.05, q=0.05,
                         phi=0.25, seed=seed, threads=4)
-        _, report, records = run_benchmark(pairing, cfg)
-        scores = np.array([r.score for r in records])
+        _, report, per_input = run_benchmark(pairing, cfg)
+        scores = per_input["score"]
         n_id = len(pairing.id_test)
         margin = float(scores[:n_id].mean() - scores[n_id:].mean())
         det_acc = report.box_iou_accuracy
@@ -356,16 +356,20 @@ def test_criterion_11_determinism(tmp_path):
 
 
 def test_criterion_12_nll():
-    assert abs(nll([([0.5, 0.5], 0), ([0.5, 0.5], 1)]) - math.log(2)) < 1e-15
+    assert abs(nll([[0.5, 0.5], [0.5, 0.5]], [0, 1]) - math.log(2)) < 1e-15
+    # ragged class counts, zero-padded to 7 columns: padding does not
+    # change the probability of the true label
     rng = np.random.default_rng(106)
-    items = []
+    probs = np.zeros((200, 7))
+    labels = []
     total = 0.0
-    for _ in range(200):
+    for i in range(200):
         k = int(rng.integers(2, 8))
         p = rng.dirichlet(np.ones(k))
         label = int(rng.integers(k))
-        items.append((p, label))
+        probs[i, :k] = p
+        labels.append(label)
         total -= math.log(max(float(p[label]), 1e-300))
-    err = abs(nll(items) - total / len(items))
+    err = abs(nll(probs, labels) - total / len(labels))
     check(12, err <= 1e-12,
           f"direct oracle within {err:.1e}; two-point half-probability = ln 2")

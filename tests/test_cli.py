@@ -141,6 +141,47 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, command, conte
         assert str(path) in err[0], err
 
 
+def _drop_array(directory):
+    data = dict(np.load(directory / "data.npz"))
+    del data["id_test_labels"]
+    np.savez(directory / "data.npz", **data)
+
+
+def _tamper_array(directory):
+    data = dict(np.load(directory / "data.npz"))
+    data["id_train_inputs"] = data["id_train_inputs"] + 1.0
+    np.savez(directory / "data.npz", **data)
+
+
+# (id, file the error must name, how the saved dataset is broken)
+MALFORMED_DATASETS = [
+    ("manifest-not-object", "manifest.json",
+     lambda d: (d / "manifest.json").write_text("[1, 2]")),
+    ("manifest-invalid-json", "manifest.json",
+     lambda d: (d / "manifest.json").write_text("{not json")),
+    ("array-missing", "data.npz", _drop_array),
+    ("data-not-npz", "data.npz", lambda d: (d / "data.npz").write_text("not an archive\n")),
+    ("digest-mismatch", "data.npz", _tamper_array),
+]
+
+
+@pytest.mark.parametrize("name,break_dataset", [(f, b) for _, f, b in MALFORMED_DATASETS],
+                         ids=[i for i, _, _ in MALFORMED_DATASETS])
+def test_malformed_dataset_exits_3_with_one_line(tmp_path, capsys, name, break_dataset):
+    data = tmp_path / "data"
+    data.mkdir()
+    assert run(["gen-data", "--config", write_config(tmp_path), "--out", str(data)]) == 0
+    break_dataset(data)
+    config = write_config(tmp_path, "path.json", dataset={"path": str(data)})
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert run(["train", "--config", config, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error:"), err
+    assert str(data / name) in err[0], err
+
+
 def test_threads_flag_below_one_exits_2(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "out"

@@ -1,22 +1,24 @@
 import numpy as np
 import pytest
 
-from bayeslayers.datasets import (content_digest, gen_blobs, gen_shapes,
+from bayeslayers.datasets import (Split, content_digest, gen_blobs, gen_shapes,
                                   load_pairing, save_pairing)
+from bayeslayers.network import PersistenceError
+
+SPLIT_NAMES = ("id_train", "id_test", "ood_test")
 
 
 def pairings_equal(a, b):
-    for sa, sb in ((a.id_train, b.id_train), (a.id_test, b.id_test),
-                   (a.ood_test, b.ood_test)):
+    for name in SPLIT_NAMES:
+        sa, sb = getattr(a, name), getattr(b, name)
         if len(sa) != len(sb):
             return False
-        for x, y in zip(sa, sb):
-            if not np.array_equal(x.input, y.input) or x.label != y.label:
-                return False
-            if (x.box is None) != (y.box is None):
-                return False
-            if x.box is not None and not np.array_equal(x.box, y.box):
-                return False
+        if not np.array_equal(sa.inputs, sb.inputs) or not np.array_equal(sa.labels, sb.labels):
+            return False
+        if (sa.boxes is None) != (sb.boxes is None):
+            return False
+        if sa.boxes is not None and not np.array_equal(sa.boxes, sb.boxes):
+            return False
     return True
 
 
@@ -34,16 +36,16 @@ def test_gen_blobs_counts_and_tags():
     assert len(p.id_train) == 60
     assert len(p.id_test) == 30
     assert len(p.ood_test) == 30
-    assert all(s.tag == "id" for s in p.id_train + p.id_test)
-    assert all(s.tag == "ood" for s in p.ood_test)
-    assert all(s.input.shape == (4,) for s in p.id_train)
+    assert p.id_train.tag == p.id_test.tag == "id"
+    assert p.ood_test.tag == "ood"
+    assert p.id_train.inputs.shape == (60, 4)
 
 
 def test_gen_blobs_zero_offset_overlaps_an_id_class():
     p = gen_blobs(0, k=3, n_per_class=50, dim=2, id_center_scale=10.0,
                   ood_offset=0.0)
-    class0 = np.stack([s.input for s in p.id_train if s.label == 0])
-    ood = np.stack([s.input for s in p.ood_test])
+    class0 = p.id_train.inputs[p.id_train.labels == 0]
+    ood = p.ood_test.inputs
     # OOD cluster sits on top of class 0, far from the others
     assert np.linalg.norm(class0.mean(axis=0) - ood.mean(axis=0)) < 1.0
 
@@ -66,13 +68,13 @@ def test_gen_shapes_deterministic():
 
 def test_gen_shapes_box_and_pixel_invariants():
     p = gen_shapes(0, image_size=28, n=20)
-    for s in p.id_train + p.id_test + p.ood_test:
-        assert s.input.shape == (1, 28, 28)
-        assert s.input.min() >= 0.0 and s.input.max() <= 1.0
-        x0, y0, x1, y1 = s.box
-        assert 0 <= x0 < x1 <= 28
-        assert 0 <= y0 < y1 <= 28
-        assert (x1 - x0) * (y1 - y0) >= 9
+    for split in (p.id_train, p.id_test, p.ood_test):
+        assert split.inputs.shape[1:] == (1, 28, 28)
+        assert split.inputs.min() >= 0.0 and split.inputs.max() <= 1.0
+        x0, y0, x1, y1 = split.boxes.T
+        assert np.all((0 <= x0) & (x0 < x1) & (x1 <= 28))
+        assert np.all((0 <= y0) & (y0 < y1) & (y1 <= 28))
+        assert np.all((x1 - x0) * (y1 - y0) >= 9)
 
 
 def test_gen_shapes_counts_and_labels():
@@ -80,7 +82,7 @@ def test_gen_shapes_counts_and_labels():
     assert len(p.id_train) == 30   # 3 ID shape classes, n each
     assert len(p.id_test) == 15
     assert len(p.ood_test) == 10   # 2 OOD shape kinds, n//2 each
-    assert sorted({s.label for s in p.id_train}) == [0, 1, 2]
+    assert sorted(set(p.id_train.labels.tolist())) == [0, 1, 2]
 
 
 def test_gen_shapes_rejects_small_image():
@@ -115,4 +117,45 @@ def test_pairing_load_detects_tampering(tmp_path):
     data["id_train_inputs"] = data["id_train_inputs"] + 1.0
     np.savez(tmp_path / "data.npz", **data)
     with pytest.raises(ValueError, match="digest"):
+        load_pairing(str(tmp_path))
+
+
+@pytest.mark.parametrize("gen", [lambda: gen_shapes(5, n=6),
+                                 lambda: gen_blobs(9, n_per_class=10)],
+                         ids=["shapes", "blobs"])
+def test_saved_arrays_are_the_contract(tmp_path, gen):
+    # the key names, dtypes and values that readers of data.npz rely on
+    p = gen()
+    save_pairing(p, str(tmp_path))
+    with np.load(tmp_path / "data.npz") as data:
+        stored = dict(data)
+    fields = ("inputs", "labels", "boxes") if p.id_train.boxes is not None else ("inputs", "labels")
+    assert sorted(stored) == sorted(f"{n}_{f}" for n in SPLIT_NAMES for f in fields)
+    for name in SPLIT_NAMES:
+        split = getattr(p, name)
+        for f in fields:
+            want = getattr(split, f)
+            got = stored[f"{name}_{f}"]
+            assert got.dtype == (np.int64 if f == "labels" else np.float64)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    loaded = load_pairing(str(tmp_path))
+    for name in SPLIT_NAMES:
+        for f in fields:
+            assert getattr(getattr(loaded, name), f).tobytes() == stored[f"{name}_{f}"].tobytes()
+    assert (loaded.id_train.tag, loaded.id_test.tag, loaded.ood_test.tag) == ("id", "id", "ood")
+
+
+def test_split_rejects_mismatched_rows():
+    with pytest.raises(ValueError, match="labels"):
+        Split(np.zeros((3, 2)), np.zeros(2))
+    with pytest.raises(ValueError, match="boxes"):
+        Split(np.zeros((3, 2)), np.zeros(3), boxes=np.zeros((3, 2)))
+
+
+def test_pairing_load_names_a_malformed_file(tmp_path):
+    save_pairing(gen_blobs(10, n_per_class=5), str(tmp_path))
+    data = dict(np.load(tmp_path / "data.npz"))
+    data["ood_test_labels"] = data["ood_test_labels"][:-1]
+    np.savez(tmp_path / "data.npz", **data)
+    with pytest.raises(PersistenceError, match="data.npz"):
         load_pairing(str(tmp_path))

@@ -148,40 +148,45 @@ def test_iou_examples():
     assert iou(box, box) == 1.0
     assert iou([0, 0, 1, 1], [2, 2, 3, 3]) == 0.0
     assert abs(iou([0, 0, 2, 2], [1, 1, 3, 3]) - 1 / 7) < 1e-12
+    assert type(iou(box, box)) is float
+    # a batch broadcasts against one box and gives the per-pair values
+    batch = np.array([box, [0, 0, 1, 1], [0, 0, 2, 2], [5, 5, 5, 5]], dtype=float)
+    got = iou(batch, [1, 1, 3, 3])
+    assert got.shape == (4,)
+    assert got.tolist() == [iou(b, [1, 1, 3, 3]) for b in batch]
 
 
 def test_iou_malformed_box():
     with pytest.raises(ValueError):
         iou([2, 0, 1, 1], [0, 0, 1, 1])
+    with pytest.raises(ValueError):
+        iou([[0, 0, 1, 1], [0, 2, 1, 1]], [0, 0, 1, 1])
+    with pytest.raises(ValueError):
+        iou([0, 0, 1], [0, 0, 1, 1])
 
 
 def test_id_task_metrics_examples():
     box = np.array([0.0, 0.0, 2.0, 2.0])
-    preds = [(0, box), (1, box)]
-    truths = [(0, box), (1, box)]
-    assert id_task_metrics(preds, truths) == (1.0, 1.0)
+    boxes = np.stack([box, box])
+    assert id_task_metrics([0, 1], [0, 1], boxes, boxes) == (1.0, 1.0)
 
-    preds = [(1, box), (0, box)]
-    assert id_task_metrics(preds, truths) == (0.0, 0.0)
+    assert id_task_metrics([1, 0], [0, 1], boxes, boxes) == (0.0, 0.0)
 
     good = np.array([0.0, 0.0, 2.0, 2.0])
     loose = np.array([0.0, 0.0, 2.0, 1.1])     # IoU 0.55 with `good`
     off = np.array([0.0, 0.0, 2.0, 0.75])      # IoU 0.375 with `good`
-    preds = [(0, loose), (1, off)]
-    truths = [(0, good), (1, good)]
-    accuracy, detection = id_task_metrics(preds, truths)
+    accuracy, detection = id_task_metrics([0, 1], [0, 1], np.stack([loose, off]),
+                                          np.stack([good, good]))
     assert accuracy == 1.0
     assert detection == 0.5
 
 
 def test_id_task_metrics_without_boxes():
-    preds = [(0, None), (1, None)]
-    truths = [(0, None), (0, None)]
-    accuracy, detection = id_task_metrics(preds, truths)
+    accuracy, detection = id_task_metrics([0, 1], [0, 0])
     assert accuracy == 0.5
     assert detection is None
 
 
 def test_id_task_metrics_length_mismatch():
     with pytest.raises(ValueError):
-        id_task_metrics([(0, None)], [])
+        id_task_metrics([0], [])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bayeslayers.datasets import LabeledSample, gen_blobs, gen_shapes
+from bayeslayers.datasets import Split, gen_blobs, gen_shapes
 from bayeslayers.network import (LayerSpec, Model, PersistenceError,
                                  TrainConfig, TrainingDivergedError,
                                  build_model, forward_batch, load_model,
@@ -90,13 +90,13 @@ def test_forward_repeatable_bit_exact():
 def train_golden_model():
     """Seed-0 micro-cnn trained 2 epochs on gen_shapes(0, n=4)."""
     pairing = gen_shapes(0, image_size=16, n=4)
-    k = max(s.label for s in pairing.id_train) + 1
-    model = build_model("micro-cnn", pairing.id_train[0].input.shape, k,
+    k = int(pairing.id_train.labels.max()) + 1
+    model = build_model("micro-cnn", pairing.id_train.inputs.shape[1:], k,
                         has_box_head=True, seed=0)
     model, curve = train_sgd(model, pairing.id_train,
                              TrainConfig(learning_rate=0.05, epochs=2,
                                          batch_size=8, seed=0))
-    return model, curve, forward(model, pairing.id_test[0].input)
+    return model, curve, forward(model, pairing.id_test.inputs[0])
 
 
 def test_forward_golden_after_training():
@@ -295,10 +295,8 @@ def test_train_sgd_separable_blobs():
     model, curve = train_sgd(model, pairing.id_train,
                              TrainConfig(learning_rate=0.05, epochs=50,
                                          batch_size=32, momentum=0.9, seed=0))
-    inputs = np.stack([s.input for s in pairing.id_train])
-    labels = np.array([s.label for s in pairing.id_train])
-    logits, _, _ = forward_batch(model, inputs)
-    accuracy = float(np.mean(np.argmax(logits, axis=1) == labels))
+    logits, _, _ = forward_batch(model, pairing.id_train.inputs)
+    accuracy = float(np.mean(np.argmax(logits, axis=1) == pairing.id_train.labels))
     assert accuracy >= 0.95
     assert len(curve) == 50
 
@@ -342,7 +340,7 @@ def test_train_sgd_divergence_raises():
 
 def test_train_sgd_rejects_ood_samples():
     model = build_model("micro-mlp", (2,), 2, seed=0)
-    data = [LabeledSample(np.zeros(2), 0, tag="ood")]
+    data = Split(np.zeros((1, 2)), [0], tag="ood")
     with pytest.raises(ValueError, match="OOD"):
         train_sgd(model, data, TrainConfig(learning_rate=0.1, epochs=1))
 

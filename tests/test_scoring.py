@@ -139,31 +139,35 @@ def test_calibrate_gamma_errors():
 
 
 def test_nll_values():
-    two_point = [([0.5, 0.5], 0), ([0.5, 0.5], 1)]
-    assert abs(nll(two_point) - math.log(2)) < 1e-12
-    perfect = [([1.0, 0.0], 0), ([0.0, 1.0], 1)]
-    assert nll(perfect) == 0.0
+    two_point = [[0.5, 0.5], [0.5, 0.5]]
+    assert abs(nll(two_point, [0, 1]) - math.log(2)) < 1e-12
+    perfect = [[1.0, 0.0], [0.0, 1.0]]
+    assert nll(perfect, [0, 1]) == 0.0
 
 
 def test_nll_vs_oracle():
+    # ragged class counts, zero-padded to 5 columns: padding does not change
+    # the probability of the true label
     rng = np.random.default_rng(34)
-    items = []
+    probs = np.zeros((50, 5))
+    labels = []
     total = 0.0
-    for _ in range(50):
+    for i in range(50):
         k = int(rng.integers(2, 6))
         p = rng.dirichlet(np.ones(k))
         label = int(rng.integers(k))
-        items.append((p, label))
+        probs[i, :k] = p
+        labels.append(label)
         total -= math.log(max(p[label], 1e-300))
-    assert abs(nll(items) - total / 50) < 1e-12
+    assert abs(nll(probs, labels) - total / 50) < 1e-12
 
 
 def test_nll_clamps_zero_probability():
-    assert nll([([0.0, 1.0], 0)]) == pytest.approx(-math.log(1e-300))
+    assert nll([[0.0, 1.0]], [0]) == pytest.approx(-math.log(1e-300))
 
 
 def test_nll_errors():
     with pytest.raises(ValueError):
-        nll([])
+        nll(np.zeros((0, 2)), [])
     with pytest.raises(IndexError):
-        nll([([0.5, 0.5], 2)])
+        nll([[0.5, 0.5]], [2])
