@@ -18,9 +18,7 @@ from .numerics import Rng, softmax
 
 __all__ = [
     "POLICIES",
-    "SelectionPolicy",
     "GaussianLayerPosterior",
-    "EnsembleConfig",
     "SamplerExhaustedError",
     "select_layers",
     "build_posteriors",
@@ -38,43 +36,32 @@ class SamplerExhaustedError(RuntimeError):
     """Rejection sampler hit its attempt cap."""
 
 
-@dataclass
-class SelectionPolicy:
-    name: str = "none"
-    layers: list | None = None  # explicit layer names override the policy
-
-    def __post_init__(self):
-        if self.name not in POLICIES:
-            raise ValueError(f"unknown selection policy {self.name!r}")
-
-
-def select_layers(model: Model, policy) -> list:
-    """Resolve a policy to an ordered list of layer names.
+def select_layers(model: Model, policy: str, layers: list | None = None) -> list:
+    """Resolve a policy, or explicit layer names that override it, to an
+    ordered list of layer names.
 
     Only parameter-carrying layers are selectable; batchnorm affines only
     under the `full` policy (or an explicit list).
     """
-    if isinstance(policy, str):
-        policy = SelectionPolicy(policy)
-    if policy.layers is not None:
-        for name in policy.layers:
+    if policy not in POLICIES:
+        raise ValueError(f"unknown selection policy {policy!r}")
+    if layers is not None:
+        for name in layers:
             if not LEARNABLE[model.layer(name).kind]:
                 raise ValueError(f"layer {name!r} carries no weight parameters")
-        return [l.name for l in model.layers if l.name in set(policy.layers)]
+        return [l.name for l in model.layers if l.name in set(layers)]
     selected = []
     for idx, layer in enumerate(model.layers):
         in_backbone = idx < model.backbone_end
-        if policy.name == "none":
-            continue
-        if policy.name == "conv_backbone" and layer.kind == "conv2d" and in_backbone:
+        if policy == "conv_backbone" and layer.kind == "conv2d" and in_backbone:
             selected.append(layer.name)
-        elif policy.name == "linear_backbone" and layer.kind == "linear" and in_backbone:
+        elif policy == "linear_backbone" and layer.kind == "linear" and in_backbone:
             selected.append(layer.name)
-        elif policy.name == "conv_all" and layer.kind == "conv2d":
+        elif policy == "conv_all" and layer.kind == "conv2d":
             selected.append(layer.name)
-        elif policy.name == "linear_all" and layer.kind == "linear":
+        elif policy == "linear_all" and layer.kind == "linear":
             selected.append(layer.name)
-        elif policy.name == "full" and LEARNABLE[layer.kind]:
+        elif policy == "full" and LEARNABLE[layer.kind]:
             selected.append(layer.name)
     return selected
 
@@ -114,16 +101,6 @@ class GaussianLayerPosterior:
             out[name] = flat[..., pos:pos + size].reshape(flat.shape[:-1] + tuple(shape))
             pos += size
         return out
-
-
-@dataclass
-class EnsembleConfig:
-    sample_count: int = 30
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
 
 
 def _default_attempt_cap(q: float) -> int:
@@ -175,7 +152,7 @@ def sample_layer_weights(post: GaussianLayerPosterior, rng: Rng,
 
 
 def mc_predict(model: Model, posteriors: list, x: np.ndarray,
-               cfg: EnsembleConfig, stream: tuple = ()):
+               sample_count: int, seed: int = 0, stream: tuple = ()):
     """T_mc forward passes of one input with independently sampled
     selected-layer weights, run as one batched pass.
 
@@ -183,9 +160,11 @@ def mc_predict(model: Model, posteriors: list, x: np.ndarray,
     child generator split at (seed, *stream, t, layer-index), so results are
     identical under any parallel schedule. The layers before the first
     selected one run once; the rest run once over a leading draw axis of
-    length T. Returns (logits (T, K), boxes (T, 4) or None).
+    length T = sample_count. Returns (logits (T, K), boxes (T, 4) or None).
     """
-    base = Rng(cfg.seed)
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
+    base = Rng(seed)
     by_name = {p.layer_name: p for p in posteriors}
     layers = []
     for i, layer in enumerate(model.layers):
@@ -195,7 +174,7 @@ def mc_predict(model: Model, posteriors: list, x: np.ndarray,
             continue
         flat = np.stack([
             sample_layer_weights(post, base.split(*stream, t, i))
-            for t in range(cfg.sample_count)])
+            for t in range(sample_count)])
         params = dict(layer.params)
         params.update(post.split_tensors(flat))
         layers.append(LayerSpec(layer.name, layer.kind, params,
@@ -204,8 +183,8 @@ def mc_predict(model: Model, posteriors: list, x: np.ndarray,
                     model.has_box_head)
     logits, boxes, _ = forward_batch(sampled, np.asarray(x, dtype=np.float64)[None])
     if logits.ndim == 2:  # nothing sampled: every draw is the deterministic pass
-        return (np.repeat(logits, cfg.sample_count, axis=0),
-                None if boxes is None else np.repeat(boxes, cfg.sample_count, axis=0))
+        return (np.repeat(logits, sample_count, axis=0),
+                None if boxes is None else np.repeat(boxes, sample_count, axis=0))
     return logits[:, 0], None if boxes is None else boxes[:, 0]
 
 

@@ -21,17 +21,15 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from . import datasets
-from .bayes import (EnsembleConfig, SamplerExhaustedError, SelectionPolicy,
-                    POLICIES, build_posteriors, mc_predict, predictive_mean,
-                    select_layers)
+from .bayes import (SamplerExhaustedError, POLICIES, build_posteriors,
+                    mc_predict, predictive_mean, select_layers)
 from .metrics import (BenchmarkReport, ScoreSet, auroc, fpr_at_tpr,
                       id_task_metrics, roc_curve, roc_to_csv)
 from .network import (PersistenceError, TrainConfig, TrainingDivergedError,
                       PRESETS, build_model, forward_batch, load_model,
                       save_model, train_sgd)
 from .numerics import NumericsError, ShapeError
-from .scoring import (AGGREGATIONS, ScoringConfig, calibrate_gamma, nll,
-                      score_ensemble)
+from .scoring import AGGREGATIONS, calibrate_gamma, nll, score_ensemble
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,14 +38,10 @@ EXIT_DIVERGED = 4
 EXIT_SAMPLER = 5
 EXIT_NUMERIC = 6
 
-_RUN_KEYS = {"dataset", "architecture", "train", "policy", "layers", "alpha",
-             "q", "t_mc", "temperature", "phi", "aggregation", "tpr_target",
-             "seed", "threads"}
 _RUN_TYPES = {"alpha": float, "q": float, "t_mc": int, "temperature": float,
               "phi": float, "tpr_target": float, "seed": int, "threads": int}
 # `train` keys: the TrainConfig fields; its seed is the run's seed
 _TRAIN_FIELDS = {f.name: f for f in fields(TrainConfig) if f.name != "seed"}
-_GENERATORS = {"blobs": datasets.gen_blobs, "shapes": datasets.gen_shapes}
 
 
 class ConfigError(ValueError):
@@ -102,6 +96,9 @@ class RunConfig:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}")
+        if self.layers is not None and not (
+                isinstance(self.layers, list) and all(isinstance(n, str) for n in self.layers)):
+            raise ConfigError(f"layers must be a list of layer names, got {self.layers!r}")
         if self.aggregation not in AGGREGATIONS:
             raise ConfigError(f"unknown aggregation {self.aggregation!r}")
         if self.alpha <= 0:
@@ -121,7 +118,7 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - _RUN_KEYS
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "dataset" not in raw:
@@ -132,12 +129,10 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def echo(self) -> dict:
-        """Config block embedded in reports (everything that shapes results)."""
-        return {"dataset": self.dataset, "architecture": self.architecture,
-                "train": self.train, "policy": self.policy, "layers": self.layers,
-                "alpha": self.alpha, "q": self.q, "t_mc": self.t_mc,
-                "temperature": self.temperature, "phi": self.phi,
-                "aggregation": self.aggregation, "tpr_target": self.tpr_target}
+        """Config block embedded in reports: every key but `seed` (reported
+        on its own) and `threads` (results do not depend on it)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("seed", "threads")}
 
 
 def _read_json(path: str):
@@ -164,10 +159,12 @@ def resolve_dataset(cfg: RunConfig) -> datasets.BenchmarkPairing:
     if "path" in spec:
         return datasets.load_pairing(spec["path"])
     gen = spec.get("generator")
-    if gen not in _GENERATORS:
+    if gen not in ("blobs", "shapes"):
         raise ConfigError(f"unknown dataset generator {gen!r}")
+    # looked up at call time, so a wrapped generator is the one called
+    generate = getattr(datasets, f"gen_{gen}")
     try:
-        return _GENERATORS[gen](spec.get("seed", cfg.seed), **spec.get("params", {}))
+        return generate(spec.get("seed", cfg.seed), **spec.get("params", {}))
     except TypeError as exc:  # an unknown or ill-typed generator parameter
         raise ConfigError(f"dataset.params: {exc}") from exc
 
@@ -201,15 +198,14 @@ def _ensemble_logits(model, inputs: np.ndarray, cfg: RunConfig):
     (i,), so results do not depend on the worker count. An empty selection
     draws nothing: it is one batched deterministic forward, with T = 1.
     """
-    selection = select_layers(model, SelectionPolicy(cfg.policy, cfg.layers))
+    selection = select_layers(model, cfg.policy, cfg.layers)
     if not selection:
         logits, boxes, _ = forward_batch(model, inputs)
         return logits[:, None], None if boxes is None else boxes[:, None]
     posteriors = build_posteriors(model, selection, cfg.alpha, cfg.q)
-    ens_cfg = EnsembleConfig(sample_count=cfg.t_mc, seed=cfg.seed)
 
     def work(idx):
-        return mc_predict(model, posteriors, inputs[idx], ens_cfg, stream=(idx,))
+        return mc_predict(model, posteriors, inputs[idx], cfg.t_mc, cfg.seed, stream=(idx,))
 
     workers = _thread_count(cfg)
     if workers > 1:
@@ -219,10 +215,6 @@ def _ensemble_logits(model, inputs: np.ndarray, cfg: RunConfig):
         results = [work(idx) for idx in range(len(inputs))]
     logits, boxes = zip(*results)
     return np.stack(logits), None if boxes[0] is None else np.stack(boxes)
-
-
-def _scoring_config(cfg: RunConfig) -> ScoringConfig:
-    return ScoringConfig(cfg.temperature, cfg.phi, cfg.aggregation)
 
 
 def evaluate_pairing(model, pairing, cfg: RunConfig):
@@ -237,7 +229,8 @@ def evaluate_pairing(model, pairing, cfg: RunConfig):
     id_test = pairing.id_test
     inputs = np.concatenate([id_test.inputs, pairing.ood_test.inputs])
     logits, boxes = _ensemble_logits(model, inputs, cfg)
-    score, score_std, energy_mean = score_ensemble(logits, _scoring_config(cfg))
+    score, score_std, energy_mean = score_ensemble(logits, cfg.phi, cfg.temperature,
+                                                   cfg.aggregation)
     mean_probs, mean_box = predictive_mean(logits, boxes)
     predicted = np.argmax(mean_probs, axis=-1)
     per_input = {"score": score, "score_std": score_std, "energy_mean": energy_mean,
@@ -324,7 +317,7 @@ def cmd_calibrate(cfg: RunConfig, model_path: str, out_dir: str) -> int:
     # gamma depends on the ID scores alone; ID inputs lead the test list, so
     # they keep the streams they draw from in `eval`
     logits, _ = _ensemble_logits(model, pairing.id_test.inputs, cfg)
-    score, _, _ = score_ensemble(logits, _scoring_config(cfg))
+    score, _, _ = score_ensemble(logits, cfg.phi, cfg.temperature, cfg.aggregation)
     gamma = calibrate_gamma(score, cfg.tpr_target)
     doc = {"gamma": gamma, "tpr_target": cfg.tpr_target, "seed": cfg.seed}
     with open(os.path.join(out_dir, "gamma.json"), "w") as fh:

@@ -7,14 +7,12 @@ least the calibrated threshold gamma.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import log_sum_exp
 
 __all__ = [
-    "ScoringConfig",
     "energy",
     "uncertainty_score",
     "score_ensemble",
@@ -23,21 +21,6 @@ __all__ = [
 ]
 
 AGGREGATIONS = ("mean_score", "score_of_mean_logits")
-
-
-@dataclass
-class ScoringConfig:
-    temperature: float = 1.0
-    phi: float = 1.0
-    aggregation: str = "mean_score"
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.phi <= 0:
-            raise ValueError("phi must be positive")
-        if self.aggregation not in AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
 
 
 def energy(logits: np.ndarray, temperature: float = 1.0):
@@ -60,7 +43,8 @@ def uncertainty_score(e, phi: float = 1.0):
     return np.clip(s, 5e-324, 1.0 - 2.0 ** -53)[()]
 
 
-def score_ensemble(logits: np.ndarray, cfg: ScoringConfig):
+def score_ensemble(logits: np.ndarray, phi: float = 1.0, temperature: float = 1.0,
+                   aggregation: str = "mean_score"):
     """Fold MC ensembles of logits (..., T, K) into (score, score_std,
     energy_mean), each of shape (...).
 
@@ -68,19 +52,21 @@ def score_ensemble(logits: np.ndarray, cfg: ScoringConfig):
     on the ensemble-mean logits. score_std is always the population standard
     deviation of the per-sample scores.
     """
+    if aggregation not in AGGREGATIONS:
+        raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim < 2 or logits.shape[-2] == 0:
         raise ValueError("empty ensemble")
-    energies = energy(logits, cfg.temperature)
-    per_sample = uncertainty_score(energies, cfg.phi)
+    energies = energy(logits, temperature)
+    per_sample = uncertainty_score(energies, phi)
     # a collapsed ensemble must score exactly like a single pass
     degenerate = np.all(per_sample == per_sample[..., :1], axis=-1)
-    if cfg.aggregation == "mean_score":
+    if aggregation == "mean_score":
         score = np.where(degenerate, per_sample[..., 0], per_sample.mean(axis=-1))
     else:
         mean_logits = np.where(degenerate[..., None], logits[..., 0, :],
                                logits.mean(axis=-2))
-        score = uncertainty_score(energy(mean_logits, cfg.temperature), cfg.phi)
+        score = uncertainty_score(energy(mean_logits, temperature), phi)
     energy_mean = np.where(degenerate, energies[..., 0], energies.mean(axis=-1))
     score_std = np.where(degenerate, 0.0, per_sample.std(axis=-1))  # population estimator
     return score[()], score_std[()], energy_mean[()]

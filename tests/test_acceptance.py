@@ -9,8 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from bayeslayers.bayes import (EnsembleConfig, GaussianLayerPosterior,
-                               POLICIES, build_posteriors,
+from bayeslayers.bayes import (GaussianLayerPosterior, POLICIES, build_posteriors,
                                chi_square_quantile, mc_predict,
                                sample_layer_weights, select_layers)
 from bayeslayers.cli import RunConfig, build_and_train, evaluate_pairing
@@ -19,8 +18,8 @@ from bayeslayers.metrics import ScoreSet, auroc, fpr_at_tpr
 from bayeslayers.network import (build_model, forward_batch, load_model,
                                  loss_and_gradients, save_model)
 from bayeslayers.numerics import Rng
-from bayeslayers.scoring import (ScoringConfig, calibrate_gamma, energy,
-                                 nll, score_ensemble, uncertainty_score)
+from bayeslayers.scoring import (calibrate_gamma, energy, nll, score_ensemble,
+                                 uncertainty_score)
 
 
 def check(criterion: int, ok: bool, detail: str):
@@ -191,18 +190,18 @@ def test_criterion_07_degenerate_ensemble():
     base_logits, base_box, _ = forward_batch(model, x[None])
     base_logits, base_box = base_logits[0], base_box[0]
 
-    logits, boxes = mc_predict(model, [], x, EnsembleConfig(sample_count=10, seed=0))
+    logits, boxes = mc_predict(model, [], x, 10, seed=0)
     assert len(logits) == len(boxes) == 10
     for row, box in zip(logits, boxes):
         assert np.array_equal(row, base_logits)
         assert np.array_equal(box, base_box)
-    _, score_std, _ = score_ensemble(logits, ScoringConfig())
+    _, score_std, _ = score_ensemble(logits)
     assert score_std == 0.0
 
     posteriors = build_posteriors(model, select_layers(model, "full"), 0.05)
     for post in posteriors:
         post.sigma = 1e-12
-    logits, _ = mc_predict(model, posteriors, x, EnsembleConfig(sample_count=10, seed=0))
+    logits, _ = mc_predict(model, posteriors, x, 10, seed=0)
     worst = max(float(np.max(np.abs(row - base_logits))) for row in logits)
     check(7, worst <= 1e-6,
           f"policy none bit-exact with score_std 0; sigma=1e-12 ensemble "

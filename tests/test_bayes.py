@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bayeslayers.bayes import (EnsembleConfig, GaussianLayerPosterior,
-                               SamplerExhaustedError, SelectionPolicy,
+from bayeslayers.bayes import (GaussianLayerPosterior, SamplerExhaustedError,
                                POLICIES, build_posteriors,
                                chi_square_quantile, mc_predict,
                                predictive_mean, sample_layer_weights,
@@ -49,18 +48,18 @@ def test_select_layers_policies():
 
 def test_select_layers_explicit_list():
     model = mixed_model()
-    got = select_layers(model, SelectionPolicy("none", layers=["head", "conv_a"]))
+    got = select_layers(model, "none", layers=["head", "conv_a"])
     assert got == ["conv_a", "head"]  # model order preserved
 
 
 def test_select_layers_rejects_bad_names():
     model = mixed_model()
     with pytest.raises(ValueError):
-        select_layers(model, SelectionPolicy("none", layers=["missing"]))
+        select_layers(model, "none", layers=["missing"])
     with pytest.raises(ValueError):
-        select_layers(model, SelectionPolicy("none", layers=["relu_a"]))
+        select_layers(model, "none", layers=["relu_a"])
     with pytest.raises(ValueError):
-        SelectionPolicy("everything")
+        select_layers(model, "everything")
 
 
 def test_build_posteriors_sigma_rule():
@@ -164,11 +163,17 @@ def test_mc_predict_empty_selection_is_deterministic():
     model = build_model("micro-mlp", (2,), 3, seed=5)
     x = np.array([0.5, 1.5])
     base_logits = forward_batch(model, x[None])[0][0]
-    logits, boxes = mc_predict(model, [], x, EnsembleConfig(sample_count=5, seed=0))
+    logits, boxes = mc_predict(model, [], x, 5, seed=0)
     assert logits.shape == (5, 3)
     for row in logits:
         assert np.array_equal(row, base_logits)
     assert boxes is None
+
+
+def test_mc_predict_needs_a_draw():
+    model = build_model("micro-mlp", (2,), 3, seed=5)
+    with pytest.raises(ValueError):
+        mc_predict(model, [], np.zeros(2), 0)
 
 
 def test_mc_predict_vanishing_width():
@@ -179,7 +184,7 @@ def test_mc_predict_vanishing_width():
     posteriors = build_posteriors(model, selection, alpha=0.05)
     for post in posteriors:
         post.sigma = 1e-12
-    logits, _ = mc_predict(model, posteriors, x, EnsembleConfig(sample_count=10, seed=0))
+    logits, _ = mc_predict(model, posteriors, x, 10, seed=0)
     for row in logits:
         assert np.max(np.abs(row - base_logits)) <= 1e-6
 
@@ -188,26 +193,25 @@ def test_mc_predict_stream_determinism():
     model = build_model("micro-mlp", (2,), 3, seed=7)
     x = np.array([1.0, -1.0])
     posteriors = build_posteriors(model, select_layers(model, "linear_all"), 0.05)
-    cfg = EnsembleConfig(sample_count=4, seed=9)
-    a, _ = mc_predict(model, posteriors, x, cfg, stream=(17,))
-    b, _ = mc_predict(model, posteriors, x, cfg, stream=(17,))
-    c, _ = mc_predict(model, posteriors, x, cfg, stream=(18,))
+    a, _ = mc_predict(model, posteriors, x, 4, seed=9, stream=(17,))
+    b, _ = mc_predict(model, posteriors, x, 4, seed=9, stream=(17,))
+    c, _ = mc_predict(model, posteriors, x, 4, seed=9, stream=(18,))
     for la, lb in zip(a, b):
         assert np.array_equal(la, lb)
     assert not np.array_equal(a[0], c[0])
 
 
-def per_draw_reference(model, posteriors, x, cfg, stream):
+def per_draw_reference(model, posteriors, x, sample_count, seed, stream):
     """One model and one forward_batch per draw; draw t of the layer at
     index i takes its weights from the split(*stream, t, i) stream."""
     by_name = {p.layer_name: p for p in posteriors}
     logits, boxes = [], []
-    for t in range(cfg.sample_count):
+    for t in range(sample_count):
         layers = []
         for i, layer in enumerate(model.layers):
             post = by_name.get(layer.name)
             if post is not None:
-                flat = sample_layer_weights(post, Rng(cfg.seed).split(*stream, t, i))
+                flat = sample_layer_weights(post, Rng(seed).split(*stream, t, i))
                 params = dict(layer.params)
                 params.update(post.split_tensors(flat))
                 layer = LayerSpec(layer.name, layer.kind, params,
@@ -238,9 +242,8 @@ def test_mc_predict_matches_per_draw_reference(arch, shape, policy):
         model = build_model(arch, shape, 3, has_box_head=(arch == "micro-cnn"), seed=11)
     x = np.random.default_rng(22).uniform(size=shape)
     posteriors = build_posteriors(model, select_layers(model, policy), alpha=0.2)
-    cfg = EnsembleConfig(sample_count=6, seed=5)
-    logits, boxes = mc_predict(model, posteriors, x, cfg, stream=(4,))
-    want_logits, want_boxes = per_draw_reference(model, posteriors, x, cfg, (4,))
+    logits, boxes = mc_predict(model, posteriors, x, 6, seed=5, stream=(4,))
+    want_logits, want_boxes = per_draw_reference(model, posteriors, x, 6, 5, (4,))
     assert logits.shape == want_logits.shape == (6, 3)
     np.testing.assert_allclose(logits, want_logits, rtol=1e-12, atol=0)
     if want_boxes is None:

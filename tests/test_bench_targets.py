@@ -6,17 +6,21 @@ into nulls; these tests catch that without installing the tracer."""
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from bayeslayers import numerics
+from bayeslayers import bayes, numerics
 from bayeslayers.bayes import GaussianLayerPosterior, sample_layer_weights
+from bayeslayers.cli import RunConfig, _ensemble_logits
 from bayeslayers.network import build_model, forward_batch, loss_and_gradients
 from bayeslayers.numerics import Rng
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+SPANS_PATH = BENCH_DIR / "spans.py"
 
 # info extractor -> the argument it reads at position 1 (None: it reads the
 # call's result)
@@ -24,11 +28,15 @@ ARGUMENT_READ = {"_rows": "x", "_posterior_count": "posteriors",
                  "_normal_count": "n", "_selection": None}
 
 
+def load_bench(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+    return load_bench("bench_spans", SPANS_PATH)
 
 
 def resolve(module, attr):
@@ -93,3 +101,33 @@ def test_conv_layers_go_through_im2col(monkeypatch):
     assert calls == [(2, 1, 8, 8), (2, 8, 4, 4)]
     loss_and_gradients(model, x, [0, 1], training=True)
     assert len(calls) == 4
+
+
+def test_bench_configs_load(monkeypatch):
+    # run.py imports its sibling modules by name
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    run = load_bench("bench_run", BENCH_DIR / "run.py")
+    for name, work in run.WORKLOADS.items():
+        for dataset in (work["dataset"], {"path": "data"}):
+            raw = json.loads(json.dumps(run.run_config(work, dataset)))
+            assert RunConfig.from_dict(raw).policy == work["policy"], name
+
+
+def test_sampler_runs_once_per_input_draw_and_layer(monkeypatch):
+    # bayes.sampler.accepts counts calls to sample_layer_weights; an engine
+    # that drew weights another way would leave accept_ratio without a base
+    calls = Counter()
+    sample = bayes.sample_layer_weights
+
+    def counting(post, rng, *args, **kwargs):
+        calls[post.layer_name] += 1
+        return sample(post, rng, *args, **kwargs)
+
+    monkeypatch.setattr(bayes, "sample_layer_weights", counting)
+    model = build_model("micro-mlp", (2,), 3, seed=4)
+    cfg = RunConfig(dataset={}, policy="linear_all", t_mc=3)
+    inputs = np.random.default_rng(8).normal(size=(5, 2))
+    logits, _ = _ensemble_logits(model, inputs, cfg)
+    selected = bayes.select_layers(model, "linear_all")
+    assert logits.shape == (5, 3, 3)
+    assert len(selected) > 1 and calls == {name: 5 * 3 for name in selected}

@@ -108,6 +108,9 @@ MALFORMED_CONFIGS = [
                                              "params": {"k": "three"}}}),
     ("dataset-params-not-object", {"dataset": {"generator": "blobs", "params": [1]}}),
     ("dataset-path-not-string", {"dataset": {"path": 5}}),
+    ("layers-int", {"layers": 5}),
+    ("layers-string", {"layers": "fc1"}),
+    ("layers-not-strings", {"layers": [1]}),
 ]
 
 
@@ -180,6 +183,22 @@ def test_malformed_dataset_exits_3_with_one_line(tmp_path, capsys, name, break_d
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("i/o error:"), err
     assert str(data / name) in err[0], err
+
+
+def test_dataset_generator_is_looked_up_when_called(tmp_path, monkeypatch):
+    # the traced bench times generation by replacing datasets.gen_blobs
+    calls = []
+    real = cli.datasets.gen_blobs
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.datasets, "gen_blobs", counting)
+    out = tmp_path / "data"
+    out.mkdir()
+    assert run(["gen-data", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+    assert calls == [(0,)]
 
 
 def test_threads_flag_below_one_exits_2(tmp_path):
@@ -308,9 +327,9 @@ def test_calibrate_gamma_equals_eval_gamma_from_id_inputs_only(tmp_path, monkeyp
     streams = []
     real = cli.mc_predict
 
-    def recording(model, posteriors, x, cfg, stream=()):
+    def recording(model, posteriors, x, sample_count, seed=0, stream=()):
         streams.append(stream)
-        return real(model, posteriors, x, cfg, stream)
+        return real(model, posteriors, x, sample_count, seed, stream)
 
     monkeypatch.setattr(cli, "mc_predict", recording)
     cal = tmp_path / "cal"

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bayeslayers.scoring import (ScoringConfig, calibrate_gamma, energy, nll,
-                                 score_ensemble, uncertainty_score)
+from bayeslayers.scoring import (calibrate_gamma, energy, nll, score_ensemble,
+                                 uncertainty_score)
 
 
 def gamma_oracle(scores, tpr_target):
@@ -71,8 +71,8 @@ def test_uncertainty_score_rank_invariant_in_phi():
 
 def test_score_ensemble_single_sample_modes_agree():
     logits = np.array([[1.0, -2.0, 0.5]])
-    a = score_ensemble(logits, ScoringConfig(aggregation="mean_score"))
-    b = score_ensemble(logits, ScoringConfig(aggregation="score_of_mean_logits"))
+    a = score_ensemble(logits, aggregation="mean_score")
+    b = score_ensemble(logits, aggregation="score_of_mean_logits")
     assert a[0] == b[0]
     assert a[1] == 0.0
 
@@ -81,7 +81,7 @@ def test_score_ensemble_hand_arithmetic():
     # per-sample scores 0.2 and 0.8: energies from the logistic inverse
     e1 = math.log(0.8 / 0.2)   # S = 0.2
     e2 = math.log(0.2 / 0.8)   # S = 0.8
-    score, score_std, _ = score_ensemble(np.array([[-e1], [-e2]]), ScoringConfig())
+    score, score_std, _ = score_ensemble(np.array([[-e1], [-e2]]))
     assert abs(score - 0.5) < 1e-12
     # population estimator: sqrt(((0.2-0.5)^2 + (0.8-0.5)^2) / 2) = 0.3
     assert abs(score_std - 0.3) < 1e-12
@@ -89,22 +89,23 @@ def test_score_ensemble_hand_arithmetic():
 
 def test_score_ensemble_identical_samples_zero_std():
     logits = np.array([0.3, 0.7])
-    _, score_std, _ = score_ensemble(np.tile(logits, (8, 1)), ScoringConfig())
+    _, score_std, _ = score_ensemble(np.tile(logits, (8, 1)))
     assert score_std == 0.0
 
 
 def test_score_ensemble_empty():
     with pytest.raises(ValueError):
-        score_ensemble(np.zeros((0, 2)), ScoringConfig())
+        score_ensemble(np.zeros((0, 2)))
 
 
 def test_scoring_config_validation():
+    logits = np.array([[1.0, -2.0], [0.5, 0.0]])
     with pytest.raises(ValueError):
-        ScoringConfig(temperature=0)
+        score_ensemble(logits, temperature=0)
     with pytest.raises(ValueError):
-        ScoringConfig(phi=-1)
+        score_ensemble(logits, phi=-1)
     with pytest.raises(ValueError):
-        ScoringConfig(aggregation="median")
+        score_ensemble(logits, aggregation="median")
 
 
 def test_calibrate_gamma_examples():
