@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -38,8 +37,6 @@ EXIT_DIVERGED = 4
 EXIT_SAMPLER = 5
 EXIT_NUMERIC = 6
 
-_RUN_TYPES = {"alpha": float, "q": float, "t_mc": int, "temperature": float,
-              "phi": float, "tpr_target": float, "seed": int, "threads": int}
 # `train` keys: the TrainConfig fields; its seed is the run's seed
 _TRAIN_FIELDS = {f.name: f for f in fields(TrainConfig) if f.name != "seed"}
 
@@ -48,17 +45,18 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_types(section: str, values: dict, types: dict) -> None:
-    """Reject a value that is not of its key's type: an int field takes
-    only integers, a float field any number; booleans are neither."""
-    for key, want in types.items():
-        value = values.get(key)
-        if value is None:
+def _check_types(section: str, values: dict, cls) -> None:
+    """Reject a value that is not of its key's type in dataclass `cls`: an
+    int field takes only integers, a float field any number; booleans are
+    neither. Fields of other types and absent keys are not checked here."""
+    for f in fields(cls):
+        if f.type not in (int, float) or f.name not in values:
             continue
-        ok = isinstance(value, int if want is int else (int, float))
+        value = values[f.name]
+        ok = isinstance(value, int if f.type is int else (int, float))
         if isinstance(value, bool) or not ok:
-            kind = "an integer" if want is int else "a number"
-            raise ConfigError(f"{section}{key} must be {kind}, got {value!r}")
+            kind = "an integer" if f.type is int else "a number"
+            raise ConfigError(f"{section}{f.name} must be {kind}, got {value!r}")
 
 
 @dataclass
@@ -76,10 +74,9 @@ class RunConfig:
     aggregation: str = "mean_score"
     tpr_target: float = 0.95
     seed: int = 0
-    threads: int | None = None
 
     def __post_init__(self):
-        _check_types("", vars(self), _RUN_TYPES)
+        _check_types("", vars(self), RunConfig)
         if not isinstance(self.dataset, dict):
             raise ConfigError("dataset must be an object")
         if not isinstance(self.dataset.get("params", {}), dict):
@@ -91,7 +88,7 @@ class RunConfig:
         unknown = set(self.train) - set(_TRAIN_FIELDS)
         if unknown:
             raise ConfigError(f"unknown train keys: {sorted(unknown)}")
-        _check_types("train.", self.train, {k: f.type for k, f in _TRAIN_FIELDS.items()})
+        _check_types("train.", self.train, TrainConfig)
         if self.architecture not in PRESETS:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
         if self.policy not in POLICIES:
@@ -107,8 +104,6 @@ class RunConfig:
             raise ConfigError("q must be in [0, 1)")
         if self.t_mc < 1:
             raise ConfigError("t_mc must be >= 1")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.temperature <= 0 or self.phi <= 0:
             raise ConfigError("temperature and phi must be positive")
         if not 0 < self.tpr_target <= 1:
@@ -129,10 +124,9 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def echo(self) -> dict:
-        """Config block embedded in reports: every key but `seed` (reported
-        on its own) and `threads` (results do not depend on it)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("seed", "threads")}
+        """Config block embedded in reports: every key but `seed`, which is
+        reported on its own."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "seed"}
 
 
 def _read_json(path: str):
@@ -143,14 +137,10 @@ def _read_json(path: str):
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def load_config(path: str, seed: int | None = None,
-                threads: int | None = None) -> RunConfig:
+def load_config(path: str, seed: int | None = None) -> RunConfig:
     raw = _read_json(path)
-    if isinstance(raw, dict):
-        if seed is not None:
-            raw["seed"] = seed
-        if threads is not None:
-            raw["threads"] = threads
+    if isinstance(raw, dict) and seed is not None:
+        raw["seed"] = seed
     return RunConfig.from_dict(raw)
 
 
@@ -183,37 +173,23 @@ def build_and_train(cfg: RunConfig, pairing: datasets.BenchmarkPairing):
     return train_sgd(model, train, train_cfg)
 
 
-def _thread_count(cfg: RunConfig) -> int:
-    if cfg.threads is not None:
-        return cfg.threads
-    env = os.environ.get("BAYESLAYERS_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def _ensemble_logits(model, inputs: np.ndarray, cfg: RunConfig):
     """Ensemble logits (N, T, K) and boxes (N, T, 4) or None of the inputs
     (N, ...).
 
     Input i draws its weights from the child generator streams keyed by
-    (i,), so results do not depend on the worker count. An empty selection
-    draws nothing: it is one batched deterministic forward, with T = 1.
+    (i,), its index, so `calibrate`, which scores the ID prefix of the
+    inputs that `eval` scores, gives each of them the draws `eval` gives it.
+    An empty selection draws nothing: it is one batched deterministic
+    forward, with T = 1.
     """
     selection = select_layers(model, cfg.policy, cfg.layers)
     if not selection:
         logits, boxes, _ = forward_batch(model, inputs)
         return logits[:, None], None if boxes is None else boxes[:, None]
     posteriors = build_posteriors(model, selection, cfg.alpha, cfg.q)
-
-    def work(idx):
-        return mc_predict(model, posteriors, inputs[idx], cfg.t_mc, cfg.seed, stream=(idx,))
-
-    workers = _thread_count(cfg)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, range(len(inputs))))
-    else:
-        results = [work(idx) for idx in range(len(inputs))]
-    logits, boxes = zip(*results)
+    logits, boxes = zip(*(mc_predict(model, posteriors, x, cfg.t_mc, cfg.seed, stream=(idx,))
+                          for idx, x in enumerate(inputs)))
     return np.stack(logits), None if boxes[0] is None else np.stack(boxes)
 
 
@@ -431,7 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, model=False):
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", required=True)
         if model:
             p.add_argument("--model", required=True)
@@ -454,7 +429,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return cmd_report(args.reports, args.out)
-        cfg = load_config(args.config, seed=args.seed, threads=args.threads)
+        cfg = load_config(args.config, seed=args.seed)
         if args.command == "gen-data":
             return cmd_gen_data(cfg, args.out)
         if args.command == "train":

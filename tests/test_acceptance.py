@@ -233,7 +233,7 @@ def test_criterion_08_blobs_benchmark():
         pairing = gen_blobs(seed, k=3, n_per_class=200, dim=2, ood_offset=10.0)
         base_cfg = RunConfig(dataset=dataset, architecture="micro-mlp",
                              train=BLOBS_TRAIN, policy="none", t_mc=1,
-                             seed=seed, threads=4)
+                             seed=seed)
         model, base_report, _ = run_benchmark(pairing, base_cfg)
 
         # conv_all selects nothing on the all-linear micro-mlp, so it must
@@ -241,7 +241,7 @@ def test_criterion_08_blobs_benchmark():
         assert select_layers(model, "conv_all") == []
         conv_cfg = RunConfig(dataset=dataset, architecture="micro-mlp",
                              train=BLOBS_TRAIN, policy="conv_all", t_mc=30,
-                             alpha=0.05, q=0.05, seed=seed, threads=4)
+                             alpha=0.05, q=0.05, seed=seed)
         conv_report, _, _ = evaluate_pairing(model, pairing, conv_cfg)
         assert conv_report.metrics_dict() == base_report.metrics_dict()
 
@@ -249,7 +249,7 @@ def test_criterion_08_blobs_benchmark():
         # linear_all, the policy that actually touches this architecture
         bayes_cfg = RunConfig(dataset=dataset, architecture="micro-mlp",
                               train=BLOBS_TRAIN, policy="linear_all", t_mc=30,
-                              alpha=0.05, q=0.05, seed=seed, threads=4)
+                              alpha=0.05, q=0.05, seed=seed)
         report, per_input, _ = evaluate_pairing(model, pairing, bayes_cfg)
         std_frac = float(np.mean(per_input["score_std"] > 0))
         details.append((seed, base_report.auroc, report.auroc, std_frac))
@@ -271,7 +271,7 @@ def test_criterion_09_shapes_benchmark():
         cfg = RunConfig(dataset={"generator": "shapes", "params": {"n": 100}},
                         architecture="micro-cnn", train=SHAPES_TRAIN,
                         policy="conv_all", t_mc=30, alpha=0.05, q=0.05,
-                        phi=0.25, seed=seed, threads=4)
+                        phi=0.25, seed=seed)
         _, report, per_input = run_benchmark(pairing, cfg)
         scores = per_input["score"]
         n_id = len(pairing.id_test)
@@ -293,7 +293,7 @@ def test_criterion_10_layer_ablation(tmp_path):
               "architecture": "micro-cnn",
               "train": {"learning_rate": 0.02, "epochs": 25, "batch_size": 32,
                         "momentum": 0.9, "box_loss_weight": 0.2},
-              "t_mc": 10, "seed": 0, "threads": 4}
+              "t_mc": 10, "seed": 0}
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     train_dir = tmp_path / "train"
@@ -336,21 +336,23 @@ def test_criterion_11_determinism(tmp_path):
                  "--out", str(train_dir)]) == 0
     model_path = str(train_dir / "model.blyr")
     blobs = []
-    for name, threads in (("t1", "1"), ("t8", "8")):
+    for name in ("e1", "e2"):
         out = tmp_path / name
         out.mkdir()
         assert main(["eval", "--config", str(config_path), "--model", model_path,
-                     "--out", str(out), "--threads", threads]) == 0
+                     "--out", str(out)]) == 0
         doc = json.loads((out / "report.json").read_text())
         doc.pop("timings")
-        blobs.append(json.dumps(doc, sort_keys=True).encode())
+        blobs.append([json.dumps(doc, sort_keys=True).encode()]
+                     + [(out / f).read_bytes() for f in ("roc.csv", "scores.csv")])
     assert blobs[0] == blobs[1]
 
     loaded = load_model(model_path)
     resaved = tmp_path / "resaved.blyr"
     save_model(loaded, str(resaved))
     round_trip = (train_dir / "model.blyr").read_bytes() == resaved.read_bytes()
-    check(11, round_trip, "1 vs 8 threads byte-identical metrics; "
+    check(11, round_trip, "two eval runs byte-identical report (timings aside), "
+                          "roc.csv and scores.csv; "
                           "save/load round trip byte-identical")
 
 

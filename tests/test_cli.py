@@ -1,10 +1,12 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from bayeslayers import cli
 from bayeslayers.bayes import SamplerExhaustedError
+from bayeslayers.network import TrainConfig
 
 
 BLOBS_CONFIG = {
@@ -93,12 +95,11 @@ MALFORMED_CONFIGS = [
     ("train-ill-typed", {"train": {"learning_rate": "fast", "epochs": 3}}),
     ("train-float-epochs", {"train": {"learning_rate": 0.05, "epochs": 2.5}}),
     ("train-missing-key", {"train": {"epochs": 3}}),
+    ("train-null-epochs", {"train": {"learning_rate": 0.05, "epochs": None}}),
     ("train-seed-key", {"train": {"learning_rate": 0.05, "epochs": 3, "seed": 1}}),
     ("t_mc-float", {"t_mc": 2.5}),
     ("t_mc-bool", {"t_mc": True}),
-    ("threads-float", {"threads": 2.5}),
-    ("threads-bool", {"threads": True}),
-    ("threads-zero", {"threads": 0}),
+    ("threads-unknown", {"threads": 1}),
     ("seed-float", {"seed": 2.5}),
     ("seed-bool", {"seed": True}),
     ("dataset-not-object", {"dataset": "blobs"}),
@@ -112,6 +113,28 @@ MALFORMED_CONFIGS = [
     ("layers-string", {"layers": "fc1"}),
     ("layers-not-strings", {"layers": [1]}),
 ]
+
+
+# every numeric key: the run's own fields and the `train` fields but its seed
+NUMERIC_KEYS = (
+    [("", f.name) for f in fields(cli.RunConfig) if f.type in (int, float)]
+    + [("train.", f.name) for f in fields(TrainConfig)
+       if f.type in (int, float) and f.name != "seed"])
+
+
+@pytest.mark.parametrize("section,key", NUMERIC_KEYS,
+                         ids=[f"{s}{k}" for s, k in NUMERIC_KEYS])
+@pytest.mark.parametrize("value", [True, "1"], ids=["bool", "string"])
+def test_numeric_key_of_wrong_type_exits_2_naming_it(tmp_path, capsys, section, key, value):
+    if section:
+        config = write_config(tmp_path, train={**BLOBS_CONFIG["train"], key: value})
+    else:
+        config = write_config(tmp_path, **{key: value})
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["train", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {section}{key} must be "), err
 
 
 # whole documents handed to `report`, which reads report.json files
@@ -201,19 +224,11 @@ def test_dataset_generator_is_looked_up_when_called(tmp_path, monkeypatch):
     assert calls == [(0,)]
 
 
-def test_threads_flag_below_one_exits_2(tmp_path):
-    config = write_config(tmp_path)
-    out = tmp_path / "out"
-    out.mkdir()
-    assert run(["gen-data", "--config", config, "--out", str(out),
-                "--threads", "0"]) == 2
-
-
 def test_every_documented_key_is_accepted(tmp_path):
     # the keys a full pipeline config writes, `temperature` included
     config = write_config(
         tmp_path, alpha=0.05, q=0.05, temperature=1.0, phi=1.0,
-        aggregation="mean_score", tpr_target=0.95, threads=1,
+        aggregation="mean_score", tpr_target=0.95,
         train={"learning_rate": 0.05, "epochs": 3, "batch_size": 16,
                "momentum": 0.9, "weight_decay": 0.01, "box_loss_weight": 0.2})
     out = tmp_path / "out"
@@ -288,21 +303,6 @@ def test_eval_policy_none_ignores_t_mc(tmp_path):
                     "--out", str(out)]) == 0
         metrics.append(json.loads((out / "report.json").read_text())["metrics"])
     assert metrics[0] == metrics[1]
-
-
-def test_eval_thread_count_does_not_change_metrics(tmp_path):
-    config = write_config(tmp_path)
-    model = train_model(tmp_path, config)
-    docs = []
-    for name, threads in (("th1", "1"), ("th8", "8")):
-        out = tmp_path / name
-        out.mkdir()
-        assert run(["eval", "--config", config, "--model", model,
-                    "--out", str(out), "--threads", threads]) == 0
-        doc = json.loads((out / "report.json").read_text())
-        doc.pop("timings")
-        docs.append(json.dumps(doc, sort_keys=True))
-    assert docs[0] == docs[1]
 
 
 def test_seed_flag_overrides_config(tmp_path):
