@@ -151,16 +151,15 @@ def sample_layer_weights(post: GaussianLayerPosterior, rng: Rng,
         f"(q={post.epsilon_quantile})")
 
 
-def mc_predict(model: Model, posteriors: list, x: np.ndarray,
-               sample_count: int, seed: int = 0, stream: tuple = ()):
-    """T_mc forward passes of one input with independently sampled
-    selected-layer weights, run as one batched pass.
-
-    For sample index t, the weights of each selected layer come from the
-    child generator split at (seed, *stream, t, layer-index), so results are
-    identical under any parallel schedule. The layers before the first
-    selected one run once; the rest run once over a leading draw axis of
-    length T = sample_count. Returns (logits (T, K), boxes (T, 4) or None).
+def mc_predict(model: Model, posteriors: list, inputs: np.ndarray,
+               sample_count: int, seed: int = 0):
+    """Ensemble of the inputs (N, ...) through T = sample_count weight sets
+    drawn once. Draw t of the selected layer at index i comes from the
+    child generator split at (seed, t, i), so an input's logits depend on
+    the seed, the model and that input only. Each input is one forward
+    pass: the layers before the first selected one run once, the rest over
+    a leading draw axis of length T. Returns (logits (N, T, K), boxes
+    (N, T, 4) or None).
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -172,20 +171,25 @@ def mc_predict(model: Model, posteriors: list, x: np.ndarray,
         if post is None:
             layers.append(layer)
             continue
-        flat = np.stack([
-            sample_layer_weights(post, base.split(*stream, t, i))
-            for t in range(sample_count)])
+        flat = np.stack([sample_layer_weights(post, base.split(t, i))
+                         for t in range(sample_count)])
         params = dict(layer.params)
         params.update(post.split_tensors(flat))
         layers.append(LayerSpec(layer.name, layer.kind, params,
                                 stride=layer.stride, padding=layer.padding))
     sampled = Model(layers, model.backbone_end, model.class_count,
                     model.has_box_head)
-    logits, boxes, _ = forward_batch(sampled, np.asarray(x, dtype=np.float64)[None])
-    if logits.ndim == 2:  # nothing sampled: every draw is the deterministic pass
-        return (np.repeat(logits, sample_count, axis=0),
-                None if boxes is None else np.repeat(boxes, sample_count, axis=0))
-    return logits[:, 0], None if boxes is None else boxes[:, 0]
+    inputs = np.asarray(inputs, dtype=np.float64)
+    logits = np.empty((len(inputs), sample_count, model.class_count))
+    boxes = np.empty((len(inputs), sample_count, 4)) if model.has_box_head else None
+    # one input per pass keeps activations at T rows, not T * N; a pass
+    # with nothing sampled gives one row, which fills all T
+    for n, x in enumerate(inputs):
+        lg, bx, _ = forward_batch(sampled, x[None])
+        logits[n] = lg.reshape(-1, lg.shape[-1])
+        if boxes is not None:
+            boxes[n] = bx.reshape(-1, 4)
+    return logits, boxes
 
 
 def predictive_mean(logits: np.ndarray, boxes: np.ndarray | None = None):

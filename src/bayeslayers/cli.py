@@ -175,22 +175,16 @@ def build_and_train(cfg: RunConfig, pairing: datasets.BenchmarkPairing):
 
 def _ensemble_logits(model, inputs: np.ndarray, cfg: RunConfig):
     """Ensemble logits (N, T, K) and boxes (N, T, 4) or None of the inputs
-    (N, ...).
-
-    Input i draws its weights from the child generator streams keyed by
-    (i,), its index, so `calibrate`, which scores the ID prefix of the
-    inputs that `eval` scores, gives each of them the draws `eval` gives it.
-    An empty selection draws nothing: it is one batched deterministic
-    forward, with T = 1.
+    (N, ...), all run through one set of T_mc weight draws. An empty
+    selection draws nothing: it is one batched deterministic forward, with
+    T = 1.
     """
     selection = select_layers(model, cfg.policy, cfg.layers)
     if not selection:
         logits, boxes, _ = forward_batch(model, inputs)
         return logits[:, None], None if boxes is None else boxes[:, None]
     posteriors = build_posteriors(model, selection, cfg.alpha, cfg.q)
-    logits, boxes = zip(*(mc_predict(model, posteriors, x, cfg.t_mc, cfg.seed, stream=(idx,))
-                          for idx, x in enumerate(inputs)))
-    return np.stack(logits), None if boxes[0] is None else np.stack(boxes)
+    return mc_predict(model, posteriors, inputs, cfg.t_mc, cfg.seed)
 
 
 def evaluate_pairing(model, pairing, cfg: RunConfig):
@@ -287,11 +281,12 @@ def cmd_train(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_calibrate(cfg: RunConfig, model_path: str, out_dir: str) -> int:
+    """Write gamma.json from the ID test scores alone: an input's scores
+    depend on the seed, the model and that input only, so they equal the
+    ones `eval` gives it."""
     _require_dir(out_dir)
     model = load_model(model_path)
     pairing = resolve_dataset(cfg)
-    # gamma depends on the ID scores alone; ID inputs lead the test list, so
-    # they keep the streams they draw from in `eval`
     logits, _ = _ensemble_logits(model, pairing.id_test.inputs, cfg)
     score, _, _ = score_ensemble(logits, cfg.phi, cfg.temperature, cfg.aggregation)
     gamma = calibrate_gamma(score, cfg.tpr_target)

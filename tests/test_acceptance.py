@@ -190,7 +190,8 @@ def test_criterion_07_degenerate_ensemble():
     base_logits, base_box, _ = forward_batch(model, x[None])
     base_logits, base_box = base_logits[0], base_box[0]
 
-    logits, boxes = mc_predict(model, [], x, 10, seed=0)
+    logits, boxes = mc_predict(model, [], x[None], 10, seed=0)
+    logits, boxes = logits[0], boxes[0]
     assert len(logits) == len(boxes) == 10
     for row, box in zip(logits, boxes):
         assert np.array_equal(row, base_logits)
@@ -201,8 +202,8 @@ def test_criterion_07_degenerate_ensemble():
     posteriors = build_posteriors(model, select_layers(model, "full"), 0.05)
     for post in posteriors:
         post.sigma = 1e-12
-    logits, _ = mc_predict(model, posteriors, x, 10, seed=0)
-    worst = max(float(np.max(np.abs(row - base_logits))) for row in logits)
+    logits, _ = mc_predict(model, posteriors, x[None], 10, seed=0)
+    worst = max(float(np.max(np.abs(row - base_logits))) for row in logits[0])
     check(7, worst <= 1e-6,
           f"policy none bit-exact with score_std 0; sigma=1e-12 ensemble "
           f"within {worst:.1e} of the deterministic forward")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bayeslayers.bayes import (GaussianLayerPosterior, SamplerExhaustedError,
                                POLICIES, build_posteriors,
@@ -161,11 +162,11 @@ def test_sample_layer_weights_exhaustion():
 
 def test_mc_predict_empty_selection_is_deterministic():
     model = build_model("micro-mlp", (2,), 3, seed=5)
-    x = np.array([0.5, 1.5])
-    base_logits = forward_batch(model, x[None])[0][0]
+    x = np.array([[0.5, 1.5]])
+    base_logits = forward_batch(model, x)[0][0]
     logits, boxes = mc_predict(model, [], x, 5, seed=0)
-    assert logits.shape == (5, 3)
-    for row in logits:
+    assert logits.shape == (1, 5, 3)
+    for row in logits[0]:
         assert np.array_equal(row, base_logits)
     assert boxes is None
 
@@ -173,37 +174,65 @@ def test_mc_predict_empty_selection_is_deterministic():
 def test_mc_predict_needs_a_draw():
     model = build_model("micro-mlp", (2,), 3, seed=5)
     with pytest.raises(ValueError):
-        mc_predict(model, [], np.zeros(2), 0)
+        mc_predict(model, [], np.zeros((1, 2)), 0)
 
 
 def test_mc_predict_vanishing_width():
     model = build_model("micro-mlp", (2,), 3, seed=6)
-    x = np.array([-0.25, 0.75])
-    base_logits = forward_batch(model, x[None])[0][0]
+    x = np.array([[-0.25, 0.75]])
+    base_logits = forward_batch(model, x)[0][0]
     selection = select_layers(model, "linear_all")
     posteriors = build_posteriors(model, selection, alpha=0.05)
     for post in posteriors:
         post.sigma = 1e-12
     logits, _ = mc_predict(model, posteriors, x, 10, seed=0)
-    for row in logits:
+    for row in logits[0]:
         assert np.max(np.abs(row - base_logits)) <= 1e-6
 
 
-def test_mc_predict_stream_determinism():
+def test_mc_predict_seed_determinism():
     model = build_model("micro-mlp", (2,), 3, seed=7)
-    x = np.array([1.0, -1.0])
+    x = np.array([[1.0, -1.0], [0.5, 2.0]])
     posteriors = build_posteriors(model, select_layers(model, "linear_all"), 0.05)
-    a, _ = mc_predict(model, posteriors, x, 4, seed=9, stream=(17,))
-    b, _ = mc_predict(model, posteriors, x, 4, seed=9, stream=(17,))
-    c, _ = mc_predict(model, posteriors, x, 4, seed=9, stream=(18,))
-    for la, lb in zip(a, b):
-        assert np.array_equal(la, lb)
-    assert not np.array_equal(a[0], c[0])
+    a, _ = mc_predict(model, posteriors, x, 4, seed=9)
+    b, _ = mc_predict(model, posteriors, x, 4, seed=9)
+    c, _ = mc_predict(model, posteriors, x, 4, seed=10)
+    assert a.tobytes() == b.tobytes()
+    assert not np.any(a == c)
 
 
-def per_draw_reference(model, posteriors, x, sample_count, seed, stream):
-    """One model and one forward_batch per draw; draw t of the layer at
-    index i takes its weights from the split(*stream, t, i) stream."""
+def test_mc_predict_row_depends_on_its_input_only():
+    # the draws are shared, not keyed by an input's place in the batch
+    model = build_model("micro-cnn", (1, 16, 16), 3, has_box_head=True, seed=12)
+    a, b, c = np.random.default_rng(23).uniform(size=(3, 1, 16, 16))
+    posteriors = build_posteriors(model, select_layers(model, "full"), alpha=0.2)
+    logits, boxes = mc_predict(model, posteriors, np.stack([a, b, c]), 4, seed=3)
+    again, again_boxes = mc_predict(model, posteriors, np.stack([c, a]), 4, seed=3)
+    assert again.tobytes() == logits[[2, 0]].tobytes()
+    assert again_boxes.tobytes() == boxes[[2, 0]].tobytes()
+
+
+def test_mc_predict_head_logits_follow_the_gaussian_law():
+    # with only the head sampled and q = 0, head weights (W, b) ~ N(M, s^2 I)
+    # give logits W h + b ~ N(M (h, 1), s^2 |(h, 1)|^2) for hidden input h
+    model = build_model("micro-mlp", (2,), 3, seed=13)
+    x = np.array([[0.8, -1.3]])
+    _, _, caches = forward_batch(model, x, want_caches=True)
+    h = np.append(caches[-1][0], 1.0)
+    (post,) = build_posteriors(model, ["head"], alpha=0.5, epsilon_quantile=0.0)
+    head = model.layer("head")
+    mean = np.hstack([head.params["weight"], head.params["bias"][:, None]]) @ h
+    scale = post.sigma * np.linalg.norm(h)
+    logits, _ = mc_predict(model, [post], x, 2000, seed=4)
+    for k in range(3):
+        p = stats.kstest(logits[0, :, k], "norm", args=(mean[k], scale)).pvalue
+        assert p > 0.01, f"logit {k}: KS p-value {p:.2g}"
+
+
+def per_draw_reference(model, posteriors, inputs, sample_count, seed):
+    """One model and one forward_batch over all inputs per draw; draw t of
+    the layer at index i takes its weights from the split(t, i) stream.
+    Returns logits (N, T, K) and boxes (N, T, 4) or None."""
     by_name = {p.layer_name: p for p in posteriors}
     logits, boxes = [], []
     for t in range(sample_count):
@@ -211,17 +240,18 @@ def per_draw_reference(model, posteriors, x, sample_count, seed, stream):
         for i, layer in enumerate(model.layers):
             post = by_name.get(layer.name)
             if post is not None:
-                flat = sample_layer_weights(post, Rng(seed).split(*stream, t, i))
+                flat = sample_layer_weights(post, Rng(seed).split(t, i))
                 params = dict(layer.params)
                 params.update(post.split_tensors(flat))
                 layer = LayerSpec(layer.name, layer.kind, params,
                                   stride=layer.stride, padding=layer.padding)
             layers.append(layer)
         drawn = Model(layers, model.backbone_end, model.class_count, model.has_box_head)
-        lg, bx, _ = forward_batch(drawn, np.asarray(x, dtype=np.float64)[None])
-        logits.append(lg[0])
-        boxes.append(None if bx is None else bx[0])
-    return np.stack(logits), None if boxes[0] is None else np.stack(boxes)
+        lg, bx, _ = forward_batch(drawn, np.asarray(inputs, dtype=np.float64))
+        logits.append(lg)
+        boxes.append(bx)
+    return (np.stack(logits, axis=1),
+            None if boxes[0] is None else np.stack(boxes, axis=1))
 
 
 ENGINE_CASES = [
@@ -240,11 +270,11 @@ def test_mc_predict_matches_per_draw_reference(arch, shape, policy):
         model = mixed_model()
     else:
         model = build_model(arch, shape, 3, has_box_head=(arch == "micro-cnn"), seed=11)
-    x = np.random.default_rng(22).uniform(size=shape)
+    inputs = np.random.default_rng(22).uniform(size=(3,) + shape)
     posteriors = build_posteriors(model, select_layers(model, policy), alpha=0.2)
-    logits, boxes = mc_predict(model, posteriors, x, 6, seed=5, stream=(4,))
-    want_logits, want_boxes = per_draw_reference(model, posteriors, x, 6, 5, (4,))
-    assert logits.shape == want_logits.shape == (6, 3)
+    logits, boxes = mc_predict(model, posteriors, inputs, 6, seed=5)
+    want_logits, want_boxes = per_draw_reference(model, posteriors, inputs, 6, 5)
+    assert logits.shape == want_logits.shape == (3, 6, 3)
     np.testing.assert_allclose(logits, want_logits, rtol=1e-12, atol=0)
     if want_boxes is None:
         assert boxes is None

@@ -324,12 +324,12 @@ def test_calibrate_gamma_equals_eval_gamma_from_id_inputs_only(tmp_path, monkeyp
                 "--out", str(out)]) == 0
     eval_gamma = json.loads((out / "report.json").read_text())["metrics"]["gamma"]
 
-    streams = []
+    scored = []
     real = cli.mc_predict
 
-    def recording(model, posteriors, x, sample_count, seed=0, stream=()):
-        streams.append(stream)
-        return real(model, posteriors, x, sample_count, seed, stream)
+    def recording(model, posteriors, inputs, sample_count, seed=0):
+        scored.append(inputs)
+        return real(model, posteriors, inputs, sample_count, seed)
 
     monkeypatch.setattr(cli, "mc_predict", recording)
     cal = tmp_path / "cal"
@@ -337,8 +337,8 @@ def test_calibrate_gamma_equals_eval_gamma_from_id_inputs_only(tmp_path, monkeyp
     assert run(["calibrate", "--config", config, "--model", model,
                 "--out", str(cal)]) == 0
     assert json.loads((cal / "gamma.json").read_text())["gamma"] == eval_gamma
-    n_id = len(cli.resolve_dataset(cli.load_config(config)).id_test)
-    assert streams == [(i,) for i in range(n_id)]
+    id_inputs = cli.resolve_dataset(cli.load_config(config)).id_test.inputs
+    assert len(scored) == 1 and np.array_equal(scored[0], id_inputs)
 
 
 def test_calibrate_writes_gamma(tmp_path):
