@@ -40,8 +40,8 @@ def select_layers(model: Model, policy: str, layers: list | None = None) -> list
     """Resolve a policy, or explicit layer names that override it, to an
     ordered list of layer names.
 
-    Only parameter-carrying layers are selectable; batchnorm affines only
-    under the `full` policy (or an explicit list).
+    Only parameter-carrying layers are selectable; `full` selects every
+    conv and linear layer.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown selection policy {policy!r}")
@@ -137,11 +137,10 @@ def build_posteriors(model: Model, selection: list, alpha: float,
     return posteriors
 
 
-def sample_layer_weights(post: GaussianLayerPosterior, rng: Rng,
-                         max_attempts: int | None = None) -> np.ndarray:
+def sample_layer_weights(post: GaussianLayerPosterior, rng: Rng) -> np.ndarray:
     """Draw a flat weight vector from N(mean, sigma^2 I), accepting only
     draws whose squared Mahalanobis radius exceeds the chi-square bound."""
-    cap = max_attempts if max_attempts is not None else _default_attempt_cap(post.epsilon_quantile)
+    cap = _default_attempt_cap(post.epsilon_quantile)
     for _ in range(cap):
         z = rng.normals(post.m)
         if post.threshold == 0.0 or float(z @ z) > post.threshold:

@@ -11,6 +11,7 @@ ablate-layers).
 
 import argparse
 import copy
+import ctypes
 import json
 import os
 import sys
@@ -79,6 +80,9 @@ class RunConfig:
         _check_types("", vars(self), RunConfig)
         if not isinstance(self.dataset, dict):
             raise ConfigError("dataset must be an object")
+        seed = self.dataset.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ConfigError(f"dataset.seed must be an integer, got {seed!r}")
         if not isinstance(self.dataset.get("params", {}), dict):
             raise ConfigError("dataset.params must be an object")
         if not isinstance(self.dataset.get("path", ""), str):
@@ -419,7 +423,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_memory() -> None:
+    """Keep freed memory for reuse: glibc otherwise hands large freed blocks
+    back to the system, and each numpy temporary is page-faulted back in.
+    Both thresholds must be raised (one alone faults more). A no-op where
+    the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+    mallopt(-3, 1 << 30)  # M_MMAP_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "report":

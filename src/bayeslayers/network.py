@@ -20,7 +20,6 @@ __all__ = [
     "PersistenceError",
     "TrainingDivergedError",
     "LAYER_KINDS",
-    "PARAM_ORDER",
     "LEARNABLE",
     "forward_batch",
     "loss_and_gradients",
@@ -31,25 +30,15 @@ __all__ = [
     "PRESETS",
 ]
 
-LAYER_KINDS = {"conv2d": 0, "linear": 1, "batchnorm": 2, "relu": 3,
-               "maxpool2": 4, "flatten": 5}
+# BLYR kind codes; code 2 is retired (it was a batchnorm kind) and now
+# reads as unknown.
+LAYER_KINDS = {"conv2d": 0, "linear": 1, "relu": 3, "maxpool2": 4, "flatten": 5}
 _KIND_BY_CODE = {v: k for k, v in LAYER_KINDS.items()}
 
-# Persistence / iteration order of each layer's tensors.
-PARAM_ORDER = {
-    "conv2d": ("weight", "bias"),
-    "linear": ("weight", "bias"),
-    "batchnorm": ("scale", "shift", "running_mean", "running_var"),
-    "relu": (),
-    "maxpool2": (),
-    "flatten": (),
-}
-
-# Tensors updated by SGD (running stats are not gradient-trained).
+# Each kind's tensors, all updated by SGD, in file order.
 LEARNABLE = {
     "conv2d": ("weight", "bias"),
     "linear": ("weight", "bias"),
-    "batchnorm": ("scale", "shift"),
     "relu": (),
     "maxpool2": (),
     "flatten": (),
@@ -57,10 +46,7 @@ LEARNABLE = {
 
 # Rank of each kind's first learnable tensor in a plain layer; sampled layers
 # carry one more, a leading draw axis.
-_WEIGHT_RANK = {"conv2d": 4, "linear": 2, "batchnorm": 1}
-
-_BN_EPS = 1e-5
-_BN_MOMENTUM = 0.9
+_WEIGHT_RANK = {"conv2d": 4, "linear": 2}
 
 
 class PersistenceError(ValueError):
@@ -83,11 +69,8 @@ class LayerSpec:
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         for key in self.params:
-            if key not in PARAM_ORDER[self.kind]:
+            if key not in LEARNABLE[self.kind]:
                 raise ValueError(f"layer {self.name!r}: unexpected tensor {key!r}")
-        if self.kind == "batchnorm" and "running_var" in self.params:
-            if np.any(np.asarray(self.params["running_var"]) <= 0):
-                raise ValueError(f"layer {self.name!r}: running variance must be positive")
 
     @property
     def draws(self) -> int:
@@ -152,7 +135,7 @@ class TrainConfig:
 # batched per-layer forward / backward
 # ---------------------------------------------------------------------------
 
-def _fwd_conv(layer, x, training):
+def _fwd_conv(layer, x):
     w, b = layer.params["weight"], layer.params["bias"]
     if x.ndim != w.ndim:
         raise ShapeError(f"layer {layer.name!r}: expected (N,C,H,W), got {x.shape}")
@@ -185,7 +168,7 @@ def _bwd_conv(layer, dout, cache):
     return dx, {"weight": dw, "bias": db}
 
 
-def _fwd_linear(layer, x, training):
+def _fwd_linear(layer, x):
     w, b = layer.params["weight"], layer.params["bias"]
     if x.ndim != w.ndim:
         raise ShapeError(f"layer {layer.name!r}: expected (N,D), got {x.shape}")
@@ -202,62 +185,7 @@ def _bwd_linear(layer, dout, cache):
     return dout @ w, {"weight": dout.T @ x, "bias": dout.sum(axis=0)}
 
 
-def _bn_axes(x):
-    if x.ndim == 4:
-        return (0, 2, 3)
-    if x.ndim == 2:
-        return (0,)
-    raise ShapeError(f"batchnorm expects 2-D or 4-D input, got {x.ndim}-D")
-
-
-def _bn_reshape(v, x):
-    """Per-channel v, (C,) or (T, C) with one row per draw, shaped to
-    broadcast along the channel axis of x, an (N, C[, H, W]) batch."""
-    return v.reshape(v.shape[:-1] + ((1, -1, 1, 1) if x.ndim == 4 else (1, -1)))
-
-
-def _fwd_batchnorm(layer, x, training):
-    scale, shift = layer.params["scale"], layer.params["shift"]
-    # sampled (T, C) affines meet x as (1 or T, N, C[, H, W])
-    batch = x[0] if scale.ndim == 2 else x
-    axes = _bn_axes(batch)
-    if batch.shape[1] != scale.shape[-1]:
-        raise ShapeError(f"layer {layer.name!r}: channel mismatch {batch.shape[1]} vs {scale.shape[-1]}")
-    if training:
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
-        layer.params["running_mean"] = (
-            _BN_MOMENTUM * layer.params["running_mean"] + (1 - _BN_MOMENTUM) * mean)
-        layer.params["running_var"] = (
-            _BN_MOMENTUM * layer.params["running_var"] + (1 - _BN_MOMENTUM) * np.maximum(var, _BN_EPS))
-    else:
-        mean = layer.params["running_mean"]
-        var = layer.params["running_var"]
-    inv_std = 1.0 / np.sqrt(var + _BN_EPS)
-    xhat = (x - _bn_reshape(mean, batch)) * _bn_reshape(inv_std, batch)
-    out = xhat * _bn_reshape(scale, batch) + _bn_reshape(shift, batch)
-    return out, (xhat, inv_std, axes, training)
-
-
-def _bwd_batchnorm(layer, dout, cache):
-    xhat, inv_std, axes, training = cache
-    scale = layer.params["scale"]
-    dscale = (dout * xhat).sum(axis=axes)
-    dshift = dout.sum(axis=axes)
-    dxhat = dout * _bn_reshape(scale, xhat)
-    if training:
-        # batch statistics participate in the forward pass
-        m = xhat.size // xhat.shape[1]
-        dx = (_bn_reshape(inv_std, xhat) / m) * (
-            m * dxhat
-            - _bn_reshape(dxhat.sum(axis=axes), xhat)
-            - xhat * _bn_reshape((dxhat * xhat).sum(axis=axes), xhat))
-    else:
-        dx = dxhat * _bn_reshape(inv_std, xhat)
-    return dx, {"scale": dscale, "shift": dshift}
-
-
-def _fwd_relu(layer, x, training):
+def _fwd_relu(layer, x):
     mask = x > 0
     return x * mask, mask
 
@@ -273,7 +201,7 @@ def _pool_windows(x, h2, w2):
     return x[:, :, :2 * h2, :2 * w2].reshape(x.shape[:2] + (h2, 2, w2, 2))
 
 
-def _fwd_maxpool2(layer, x, training):
+def _fwd_maxpool2(layer, x):
     if x.ndim != 4:
         raise ShapeError(f"layer {layer.name!r}: expected (N,C,H,W), got {x.shape}")
     h2, w2 = x.shape[2] // 2, x.shape[3] // 2
@@ -299,7 +227,7 @@ def _bwd_maxpool2(layer, dout, cache):
     return dx, {}
 
 
-def _fwd_flatten(layer, x, training):
+def _fwd_flatten(layer, x):
     return x.reshape(x.shape[0], -1), x.shape
 
 
@@ -307,18 +235,16 @@ def _bwd_flatten(layer, dout, cache):
     return dout.reshape(cache), {}
 
 
-_FWD = {"conv2d": _fwd_conv, "linear": _fwd_linear, "batchnorm": _fwd_batchnorm,
-        "relu": _fwd_relu, "maxpool2": _fwd_maxpool2, "flatten": _fwd_flatten}
-_BWD = {"conv2d": _bwd_conv, "linear": _bwd_linear, "batchnorm": _bwd_batchnorm,
-        "relu": _bwd_relu, "maxpool2": _bwd_maxpool2, "flatten": _bwd_flatten}
+_FWD = {"conv2d": _fwd_conv, "linear": _fwd_linear, "relu": _fwd_relu,
+        "maxpool2": _fwd_maxpool2, "flatten": _fwd_flatten}
+_BWD = {"conv2d": _bwd_conv, "linear": _bwd_linear, "relu": _bwd_relu,
+        "maxpool2": _bwd_maxpool2, "flatten": _bwd_flatten}
 
 
-def forward_batch(model: Model, x: np.ndarray, training: bool = False,
-                  want_caches: bool = False):
+def forward_batch(model: Model, x: np.ndarray, want_caches: bool = False):
     """Run a batch through the model.
 
-    Returns (logits (N,K), boxes (N,4) or None, caches). In inference mode
-    batchnorm uses frozen running statistics.
+    Returns (logits (N,K), boxes (N,4) or None, caches).
 
     Sampled layers (see `LayerSpec.draws`) carry T weight sets. The layers
     before the first of them run once; from there on every activation has
@@ -334,13 +260,13 @@ def forward_batch(model: Model, x: np.ndarray, training: bool = False,
     with np.errstate(over="ignore", invalid="ignore"):
         for layer in model.layers:
             if layer.draws:
-                x, cache = _FWD[layer.kind](layer, x if drawn else x[None], training)
+                x, cache = _FWD[layer.kind](layer, x if drawn else x[None])
                 drawn = True
             elif drawn:
-                out, cache = _FWD[layer.kind](layer, x.reshape((-1,) + x.shape[2:]), training)
+                out, cache = _FWD[layer.kind](layer, x.reshape((-1,) + x.shape[2:]))
                 x = out.reshape(x.shape[:2] + out.shape[1:])
             else:
-                x, cache = _FWD[layer.kind](layer, x, training)
+                x, cache = _FWD[layer.kind](layer, x)
             caches.append(cache if want_caches else None)
     if x.ndim != 2 + drawn or x.shape[-1] != model.head_width:
         raise ShapeError(
@@ -358,8 +284,7 @@ def forward_batch(model: Model, x: np.ndarray, training: bool = False,
 
 def loss_and_gradients(model: Model, inputs: np.ndarray, labels: np.ndarray,
                        boxes: np.ndarray | None = None,
-                       box_loss_weight: float = 1.0,
-                       training: bool = False):
+                       box_loss_weight: float = 1.0):
     """Mean joint loss over a batch plus exact reverse-mode gradients.
 
     Loss per sample is cross-entropy of the class head plus
@@ -369,8 +294,7 @@ def loss_and_gradients(model: Model, inputs: np.ndarray, labels: np.ndarray,
     inputs = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     n = inputs.shape[0]
-    logits, pred_boxes, caches = forward_batch(model, inputs, training=training,
-                                               want_caches=True)
+    logits, pred_boxes, caches = forward_batch(model, inputs, want_caches=True)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     loss = float(-log_probs[np.arange(n), labels].mean())
@@ -408,9 +332,9 @@ def train_sgd(model: Model, dataset, cfg: TrainConfig):
     Deterministic in cfg.seed.
 
     Weight decay is applied directly to conv/linear weight tensors (not via
-    the gradient); biases and batchnorm affines are not decayed. Returns
-    (model, per-epoch mean loss list). Raises TrainingDivergedError when the
-    loss becomes non-finite.
+    the gradient); biases are not decayed. Returns (model, per-epoch mean
+    loss list). Raises TrainingDivergedError when the loss becomes
+    non-finite.
     """
     if dataset.tag == "ood":
         raise ValueError("OOD-tagged split presented during training")
@@ -435,7 +359,7 @@ def train_sgd(model: Model, dataset, cfg: TrainConfig):
                 loss, grads = loss_and_gradients(
                     model, inputs[idx], labels[idx],
                     None if boxes is None else boxes[idx],
-                    cfg.box_loss_weight, training=True)
+                    cfg.box_loss_weight)
             except NumericsError as exc:
                 raise TrainingDivergedError(
                     f"diverged at epoch {epoch}, batch {batches}: {exc}") from exc
@@ -480,7 +404,7 @@ def save_model(model: Model, path: str) -> None:
         out += struct.pack("<H", len(name)) + name
         out += struct.pack("<B", LAYER_KINDS[layer.kind])
         out += struct.pack("<II", layer.stride, layer.padding)
-        tensors = PARAM_ORDER[layer.kind]
+        tensors = LEARNABLE[layer.kind]
         out += struct.pack("<B", len(tensors))
         for tname in tensors:
             arr = np.ascontiguousarray(layer.params[tname], dtype=np.float32)
@@ -536,7 +460,7 @@ def load_model(path: str) -> Model:
         kind = _KIND_BY_CODE[code]
         stride, padding = r.unpack("<II")
         tcount = r.unpack("<B")
-        expected = PARAM_ORDER[kind]
+        expected = LEARNABLE[kind]
         if tcount != len(expected):
             raise PersistenceError(
                 f"layer {name!r}: expected {len(expected)} tensors, file has {tcount}")

@@ -142,7 +142,7 @@ def test_criterion_04_gradients_match_finite_differences():
             denom = np.maximum(np.maximum(np.abs(got), np.abs(want)), 1e-12)
             worst = max(worst, float((np.abs(got - want) / denom).max()))
     check(4, worst <= 1e-4,
-          f"conv/batchnorm/linear gradients vs central differences, "
+          f"conv/linear gradients vs central differences, "
           f"worst relative error {worst:.2e}")
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bayeslayers import bayes
 from bayeslayers.bayes import (GaussianLayerPosterior, SamplerExhaustedError,
                                POLICIES, build_posteriors,
                                chi_square_quantile, mc_predict,
@@ -14,14 +15,11 @@ from bayeslayers.numerics import Rng
 
 
 def mixed_model():
-    """conv, batchnorm, relu, conv, linear (backbone = first three)."""
+    """conv, relu, conv, linear (backbone = first two)."""
     rng = np.random.default_rng(20)
     layers = [
         LayerSpec("conv_a", "conv2d", {"weight": rng.normal(size=(2, 1, 3, 3)),
                                        "bias": rng.normal(size=2)}, padding=1),
-        LayerSpec("bn_a", "batchnorm", {"scale": np.ones(2), "shift": np.zeros(2),
-                                        "running_mean": np.zeros(2),
-                                        "running_var": np.ones(2)}),
         LayerSpec("relu_a", "relu"),
         LayerSpec("conv_b", "conv2d", {"weight": rng.normal(size=(2, 2, 4, 4)),
                                        "bias": rng.normal(size=2)}),
@@ -29,7 +27,7 @@ def mixed_model():
         LayerSpec("head", "linear", {"weight": rng.normal(size=(3, 2)),
                                      "bias": rng.normal(size=3)}),
     ]
-    return Model(layers, backbone_end=3, class_count=3)
+    return Model(layers, backbone_end=2, class_count=3)
 
 
 def test_policy_order_is_fixed():
@@ -44,7 +42,7 @@ def test_select_layers_policies():
     assert select_layers(model, "linear_backbone") == []
     assert select_layers(model, "conv_all") == ["conv_a", "conv_b"]
     assert select_layers(model, "linear_all") == ["head"]
-    assert select_layers(model, "full") == ["conv_a", "bn_a", "conv_b", "head"]
+    assert select_layers(model, "full") == ["conv_a", "conv_b", "head"]
 
 
 def test_select_layers_explicit_list():
@@ -153,11 +151,12 @@ def test_sample_layer_weights_acceptance_rate_smoke():
     assert abs(accepted_first / n - 0.5) < 0.05
 
 
-def test_sample_layer_weights_exhaustion():
+def test_sample_layer_weights_exhaustion(monkeypatch):
     # q near 1 makes acceptance astronomically unlikely within 2 attempts
+    monkeypatch.setattr(bayes, "_default_attempt_cap", lambda q: 2)
     post = GaussianLayerPosterior("fc", np.zeros(1), 1.0, 0.9999999)
     with pytest.raises(SamplerExhaustedError):
-        sample_layer_weights(post, Rng(3), max_attempts=2)
+        sample_layer_weights(post, Rng(3))
 
 
 def test_mc_predict_empty_selection_is_deterministic():
@@ -259,7 +258,7 @@ ENGINE_CASES = [
     ("micro-cnn", (1, 16, 16), "conv_all"),
     ("micro-cnn", (1, 16, 16), "linear_all"),
     ("micro-cnn", (1, 16, 16), "full"),
-    ("mixed", (1, 4, 4), "full"),  # sampled batchnorm affines
+    ("mixed", (1, 4, 4), "full"),
 ]
 
 

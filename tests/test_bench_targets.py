@@ -99,7 +99,7 @@ def test_conv_layers_go_through_im2col(monkeypatch):
     x = np.random.default_rng(0).normal(size=(2, 1, 8, 8))
     forward_batch(model, x)
     assert calls == [(2, 1, 8, 8), (2, 8, 4, 4)]
-    loss_and_gradients(model, x, [0, 1], training=True)
+    loss_and_gradients(model, x, [0, 1])
     assert len(calls) == 4
 
 

@@ -102,6 +102,9 @@ MALFORMED_CONFIGS = [
     ("threads-unknown", {"threads": 1}),
     ("seed-float", {"seed": 2.5}),
     ("seed-bool", {"seed": True}),
+    ("dataset-seed-float", {"dataset": {"generator": "blobs", "seed": 2.5}}),
+    ("dataset-seed-bool", {"dataset": {"generator": "blobs", "seed": True}}),
+    ("dataset-seed-string", {"dataset": {"generator": "blobs", "seed": "3"}}),
     ("dataset-not-object", {"dataset": "blobs"}),
     ("dataset-unknown-param", {"dataset": {"generator": "blobs",
                                            "params": {"k": 3, "bogus": 1}}}),
@@ -475,6 +478,29 @@ def test_report_mismatched_metrics_exit_2(tmp_path, capsys):
     assert run(["report", *paths]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {paths[1]}:"), err
+
+
+def test_retired_kind_code_in_model_exits_3_with_one_line(tmp_path, capsys):
+    from test_network import write_relu_model
+    model = tmp_path / "model.blyr"
+    write_relu_model(model, 2)
+    out = tmp_path / "eval"
+    out.mkdir()
+    assert run(["eval", "--config", write_config(tmp_path), "--model", str(model),
+                "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error:"), err
+
+
+def _no_c_library(name):
+    raise OSError("cannot load the C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_c_library, lambda name: object()],
+                         ids=["no-library", "no-mallopt"])
+def test_keep_freed_memory_is_quiet_without_mallopt(monkeypatch, cdll):
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli._keep_freed_memory() is None
 
 
 def test_sampler_exhaustion_exits_5(tmp_path, monkeypatch):

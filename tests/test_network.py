@@ -35,23 +35,18 @@ def head_loss(logits, label, box=None, pred_box=None):
 
 
 def micro_model():
-    """Three parameterized layers (conv, batchnorm, linear) for gradient checks."""
+    """Two parameterized layers (conv, linear) for gradient checks."""
     rng = np.random.default_rng(10)
     layers = [
         LayerSpec("conv1", "conv2d",
                   {"weight": rng.normal(scale=0.5, size=(2, 1, 3, 3)),
                    "bias": rng.normal(size=2)}, stride=1, padding=1),
-        LayerSpec("bn1", "batchnorm",
-                  {"scale": rng.normal(loc=1.0, scale=0.1, size=2),
-                   "shift": rng.normal(scale=0.1, size=2),
-                   "running_mean": rng.normal(scale=0.2, size=2),
-                   "running_var": np.abs(rng.normal(loc=1.0, scale=0.2, size=2))}),
         LayerSpec("flatten", "flatten"),
         LayerSpec("head", "linear",
                   {"weight": rng.normal(scale=0.2, size=(7, 2 * 6 * 6)),
                    "bias": rng.normal(scale=0.1, size=7)}),
     ]
-    return Model(layers, backbone_end=2, class_count=3, has_box_head=True)
+    return Model(layers, backbone_end=1, class_count=3, has_box_head=True)
 
 
 def test_forward_identity_linear():
@@ -165,8 +160,6 @@ def finite_difference_grads(model, x, label, box, step=1e-5):
     fd = {}
     for layer in model.layers:
         for pname, arr in layer.params.items():
-            if pname in ("running_mean", "running_var"):
-                continue
             g = np.zeros_like(arr)
             flat = arr.reshape(-1)
             gflat = g.reshape(-1)
@@ -415,6 +408,22 @@ def test_load_rejects_duplicate_layer_names(tmp_path):
     data = p.read_bytes().replace(b"r2", b"r1")
     p.write_bytes(data)
     with pytest.raises(PersistenceError, match="duplicate"):
+        load_model(str(p))
+
+
+def write_relu_model(path, kind_code):
+    """Save a one-layer relu model with its kind byte set to kind_code."""
+    save_model(Model([LayerSpec("r1", "relu")], backbone_end=0, class_count=2), str(path))
+    data = bytearray(path.read_bytes())
+    data[data.index(b"r1") + 2] = kind_code
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("code", [2, 9], ids=["retired", "never-used"])
+def test_load_rejects_unknown_kind_code(tmp_path, code):
+    p = tmp_path / "kind.blyr"
+    write_relu_model(p, code)
+    with pytest.raises(PersistenceError, match=f"unknown layer kind code {code}"):
         load_model(str(p))
 
 
