@@ -156,12 +156,18 @@ def mc_predict(model: Model, posteriors: list, inputs: np.ndarray,
     drawn once. Draw t of the selected layer at index i comes from the
     child generator split at (seed, t, i), so an input's logits depend on
     the seed, the model and that input only. Each input is one forward
-    pass: the layers before the first selected one run once, the rest over
-    a leading draw axis of length T. Returns (logits (N, T, K), boxes
-    (N, T, 4) or None).
+    pass of T rows, one per draw (see `forward_batch`). With no posteriors
+    nothing is drawn: one batched forward over all inputs fills all T.
+    Returns (logits (N, T, K), boxes (N, T, 4) or None).
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if not posteriors:
+        logits, boxes, _ = forward_batch(model, inputs)
+        shape = (len(inputs), sample_count)
+        return (np.broadcast_to(logits[:, None], shape + logits.shape[1:]),
+                None if boxes is None else np.broadcast_to(boxes[:, None], shape + (4,)))
     base = Rng(seed)
     by_name = {p.layer_name: p for p in posteriors}
     layers = []
@@ -178,16 +184,13 @@ def mc_predict(model: Model, posteriors: list, inputs: np.ndarray,
                                 stride=layer.stride, padding=layer.padding))
     sampled = Model(layers, model.backbone_end, model.class_count,
                     model.has_box_head)
-    inputs = np.asarray(inputs, dtype=np.float64)
     logits = np.empty((len(inputs), sample_count, model.class_count))
     boxes = np.empty((len(inputs), sample_count, 4)) if model.has_box_head else None
-    # one input per pass keeps activations at T rows, not T * N; a pass
-    # with nothing sampled gives one row, which fills all T
+    # one input per pass keeps activations at T rows, not T * N
     for n, x in enumerate(inputs):
-        lg, bx, _ = forward_batch(sampled, x[None])
-        logits[n] = lg.reshape(-1, lg.shape[-1])
+        logits[n], bx, _ = forward_batch(sampled, x[None])
         if boxes is not None:
-            boxes[n] = bx.reshape(-1, 4)
+            boxes[n] = bx
     return logits, boxes
 
 

@@ -13,6 +13,7 @@ import argparse
 import copy
 import ctypes
 import json
+import math
 import os
 import sys
 import time
@@ -23,11 +24,11 @@ import numpy as np
 from . import datasets
 from .bayes import (SamplerExhaustedError, POLICIES, build_posteriors,
                     mc_predict, predictive_mean, select_layers)
-from .metrics import (BenchmarkReport, ScoreSet, auroc, fpr_at_tpr,
-                      id_task_metrics, roc_curve, roc_to_csv)
+from .metrics import (ScoreSet, auroc, fpr_at_tpr, id_task_metrics, roc_curve,
+                      roc_to_csv)
 from .network import (PersistenceError, TrainConfig, TrainingDivergedError,
-                      PRESETS, build_model, forward_batch, load_model,
-                      save_model, train_sgd)
+                      PRESETS, build_model, load_model, save_model,
+                      train_sgd)
 from .numerics import NumericsError, ShapeError
 from .scoring import AGGREGATIONS, calibrate_gamma, nll, score_ensemble
 
@@ -48,7 +49,8 @@ class ConfigError(ValueError):
 
 def _check_types(section: str, values: dict, cls) -> None:
     """Reject a value that is not of its key's type in dataclass `cls`: an
-    int field takes only integers, a float field any number; booleans are
+    int field takes only integers, a float field any finite number (JSON
+    reads NaN, Infinity and integers beyond the float range); booleans are
     neither. Fields of other types and absent keys are not checked here."""
     for f in fields(cls):
         if f.type not in (int, float) or f.name not in values:
@@ -58,6 +60,13 @@ def _check_types(section: str, values: dict, cls) -> None:
         if isinstance(value, bool) or not ok:
             kind = "an integer" if f.type is int else "a number"
             raise ConfigError(f"{section}{f.name} must be {kind}, got {value!r}")
+        if f.type is float:
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
+                raise ConfigError(f"{section}{f.name} must be a finite number")
 
 
 @dataclass
@@ -179,15 +188,9 @@ def build_and_train(cfg: RunConfig, pairing: datasets.BenchmarkPairing):
 
 def _ensemble_logits(model, inputs: np.ndarray, cfg: RunConfig):
     """Ensemble logits (N, T, K) and boxes (N, T, 4) or None of the inputs
-    (N, ...), all run through one set of T_mc weight draws. An empty
-    selection draws nothing: it is one batched deterministic forward, with
-    T = 1.
-    """
-    selection = select_layers(model, cfg.policy, cfg.layers)
-    if not selection:
-        logits, boxes, _ = forward_batch(model, inputs)
-        return logits[:, None], None if boxes is None else boxes[:, None]
-    posteriors = build_posteriors(model, selection, cfg.alpha, cfg.q)
+    (N, ...), all run through one set of T_mc weight draws."""
+    posteriors = build_posteriors(model, select_layers(model, cfg.policy, cfg.layers),
+                                  cfg.alpha, cfg.q)
     return mc_predict(model, posteriors, inputs, cfg.t_mc, cfg.seed)
 
 
@@ -195,12 +198,17 @@ def evaluate_pairing(model, pairing, cfg: RunConfig):
     """Score every test input, the ID split then the OOD split, with the MC
     ensemble and compute the report.
 
-    Returns (report, per_input, scores): per_input maps `score`,
+    Returns (report, per_input, scores): report is the report.json document
+    {"metrics", "config", "seed", "timings"}, per_input maps `score`,
     `score_std`, `energy_mean` and `predicted_class` to arrays over the test
     inputs in that order, and scores is their ScoreSet.
     """
     t0 = time.perf_counter()
     id_test = pairing.id_test
+    data_classes = int(id_test.labels.max(initial=0)) + 1
+    if data_classes > model.class_count:
+        raise ConfigError(f"the model has {model.class_count} classes, "
+                          f"the dataset {data_classes}")
     inputs = np.concatenate([id_test.inputs, pairing.ood_test.inputs])
     logits, boxes = _ensemble_logits(model, inputs, cfg)
     score, score_std, energy_mean = score_ensemble(logits, cfg.phi, cfg.temperature,
@@ -216,18 +224,13 @@ def evaluate_pairing(model, pairing, cfg: RunConfig):
     accuracy, det_accuracy = id_task_metrics(
         predicted[:n_id], id_test.labels,
         None if mean_box is None else mean_box[:n_id], id_test.boxes)
-    id_nll = nll(mean_probs[:n_id], id_test.labels)
-    report = BenchmarkReport(
-        fpr95=fpr_at_tpr(scores, cfg.tpr_target),
-        auroc=auroc(scores),
-        id_accuracy=accuracy,
-        box_iou_accuracy=det_accuracy,
-        nll=id_nll,
-        gamma=gamma,
-        config=cfg.echo(),
-        seed=cfg.seed,
-        timings={"eval_seconds": time.perf_counter() - t0},
-    )
+    metrics = {"fpr95": fpr_at_tpr(scores, cfg.tpr_target), "auroc": auroc(scores),
+               "id_accuracy": accuracy, "gamma": gamma,
+               "nll": nll(mean_probs[:n_id], id_test.labels)}
+    if det_accuracy is not None:
+        metrics["box_iou_accuracy"] = det_accuracy
+    report = {"metrics": metrics, "config": cfg.echo(), "seed": cfg.seed,
+              "timings": {"eval_seconds": time.perf_counter() - t0}}
     return report, per_input, scores
 
 
@@ -241,13 +244,11 @@ def _require_dir(path: str) -> str:
     return path
 
 
-def _write_report(report: BenchmarkReport, out_dir: str, per_input: dict,
+def _write_report(report: dict, out_dir: str, per_input: dict,
                   scores: ScoreSet) -> None:
     """report.json, roc.csv and scores.csv of one evaluate_pairing result."""
-    doc = {"metrics": report.metrics_dict(), "config": report.config,
-           "seed": report.seed, "timings": report.timings}
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(os.path.join(out_dir, "roc.csv"), "w") as fh:
         fh.write(roc_to_csv(roc_curve(scores)))
@@ -308,7 +309,7 @@ def cmd_eval(cfg: RunConfig, model_path: str, out_dir: str) -> int:
     pairing = resolve_dataset(cfg)
     report, per_input, scores = evaluate_pairing(model, pairing, cfg)
     _write_report(report, out_dir, per_input, scores)
-    print(json.dumps(report.metrics_dict(), sort_keys=True))
+    print(json.dumps(report["metrics"], sort_keys=True))
     return EXIT_OK
 
 
@@ -326,7 +327,7 @@ def cmd_ablate_layers(cfg: RunConfig, model_path: str, out_dir: str) -> int:
         key = tuple(select_layers(model, policy))
         if key not in by_selection:
             report, _, _ = evaluate_pairing(model, pairing, sub)
-            by_selection[key] = report.metrics_dict()
+            by_selection[key] = report["metrics"]
         row = {"policy": policy, "seed": sub.seed}
         row.update(by_selection[key])
         rows.append(row)

@@ -5,7 +5,7 @@ evidence of being ID (higher S = more ID-like).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,7 +13,6 @@ from .scoring import calibrate_gamma
 
 __all__ = [
     "ScoreSet",
-    "BenchmarkReport",
     "fpr_at_tpr",
     "auroc",
     "roc_curve",
@@ -33,28 +32,6 @@ class ScoreSet:
         self.ood_scores = np.asarray(self.ood_scores, dtype=np.float64).reshape(-1)
         if self.id_scores.size == 0 or self.ood_scores.size == 0:
             raise ValueError("both score populations must be non-empty")
-
-
-@dataclass
-class BenchmarkReport:
-    fpr95: float
-    auroc: float
-    id_accuracy: float
-    gamma: float
-    config: dict
-    seed: int
-    box_iou_accuracy: float | None = None
-    nll: float | None = None
-    timings: dict = field(default_factory=dict)  # excluded from determinism hashing
-
-    def metrics_dict(self) -> dict:
-        out = {"fpr95": self.fpr95, "auroc": self.auroc,
-               "id_accuracy": self.id_accuracy, "gamma": self.gamma}
-        if self.box_iou_accuracy is not None:
-            out["box_iou_accuracy"] = self.box_iou_accuracy
-        if self.nll is not None:
-            out["nll"] = self.nll
-        return out
 
 
 def fpr_at_tpr(scores: ScoreSet, tpr_target: float = 0.95) -> float:

@@ -44,10 +44,6 @@ LEARNABLE = {
     "flatten": (),
 }
 
-# Rank of each kind's first learnable tensor in a plain layer; sampled layers
-# carry one more, a leading draw axis.
-_WEIGHT_RANK = {"conv2d": 4, "linear": 2}
-
 
 class PersistenceError(ValueError):
     """Malformed or inconsistent model container file."""
@@ -71,16 +67,6 @@ class LayerSpec:
         for key in self.params:
             if key not in LEARNABLE[self.kind]:
                 raise ValueError(f"layer {self.name!r}: unexpected tensor {key!r}")
-
-    @property
-    def draws(self) -> int:
-        """Length of the leading draw axis of sampled weights (one weight
-        set per Monte-Carlo draw on every learnable tensor), 0 if none."""
-        learnable = LEARNABLE[self.kind]
-        if not learnable:
-            return 0
-        w = self.params.get(learnable[0])
-        return w.shape[0] if np.ndim(w) > _WEIGHT_RANK[self.kind] else 0
 
 
 @dataclass
@@ -127,6 +113,8 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
+        if self.box_loss_weight < 0:
+            raise ValueError("box_loss_weight must be non-negative")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
 
@@ -137,22 +125,21 @@ class TrainConfig:
 
 def _fwd_conv(layer, x):
     w, b = layer.params["weight"], layer.params["bias"]
-    if x.ndim != w.ndim:
+    if x.ndim != 4:
         raise ShapeError(f"layer {layer.name!r}: expected (N,C,H,W), got {x.shape}")
     f, c, kh, kw = w.shape[-4:]
-    if x.shape[-3] != c:
-        raise ShapeError(f"layer {layer.name!r}: channel mismatch {x.shape[-3]} vs {c}")
+    if x.shape[1] != c:
+        raise ShapeError(f"layer {layer.name!r}: channel mismatch {x.shape[1]} vs {c}")
     try:
-        cols = im2col(x.reshape((-1,) + x.shape[-3:]), kh, kw, layer.stride, layer.padding)
+        cols = im2col(x, kh, kw, layer.stride, layer.padding)
     except ShapeError as exc:
         raise ShapeError(f"layer {layer.name!r}: {exc}") from exc
-    # With sampled weights (T, F, C, kh, kw), x is (1 or T, N, C, H, W): at
-    # the first sampled layer one im2col serves all T kernel sets.
-    cols = cols.reshape(x.shape[:-3] + cols.shape[1:])
+    # w2 is (F, K), or (T, F, K) for sampled weights: kernel set t meets
+    # row t, and a single row meets all T sets
     w2 = w.reshape(w.shape[:-3] + (-1,))
-    out = np.matmul(w2[..., None, :, :], cols) + b[..., None, :, None]
-    ho = (x.shape[-2] + 2 * layer.padding - kh) // layer.stride + 1
-    wo = (x.shape[-1] + 2 * layer.padding - kw) // layer.stride + 1
+    out = np.matmul(w2, cols) + b[..., None]
+    ho = (x.shape[2] + 2 * layer.padding - kh) // layer.stride + 1
+    wo = (x.shape[3] + 2 * layer.padding - kw) // layer.stride + 1
     return out.reshape(out.shape[:-1] + (ho, wo)), (x.shape, cols)
 
 
@@ -170,13 +157,14 @@ def _bwd_conv(layer, dout, cache):
 
 def _fwd_linear(layer, x):
     w, b = layer.params["weight"], layer.params["bias"]
-    if x.ndim != w.ndim:
+    if x.ndim != 2:
         raise ShapeError(f"layer {layer.name!r}: expected (N,D), got {x.shape}")
-    if x.shape[-1] != w.shape[-1]:
+    if x.shape[1] != w.shape[-1]:
         raise ShapeError(
-            f"layer {layer.name!r}: input width {x.shape[-1]} vs weight {w.shape}")
-    # sampled weights (T, out, in) meet x as (1 or T, N, in)
-    return x @ w.swapaxes(-1, -2) + b[..., None, :], x
+            f"layer {layer.name!r}: input width {x.shape[1]} vs weight {w.shape}")
+    if w.ndim == 3:  # sampled weights (T, out, in), see forward_batch
+        return (x[:, None] @ w.swapaxes(-1, -2))[:, 0] + b, x
+    return x @ w.T + b, x
 
 
 def _bwd_linear(layer, dout, cache):
@@ -246,35 +234,26 @@ def forward_batch(model: Model, x: np.ndarray, want_caches: bool = False):
 
     Returns (logits (N,K), boxes (N,4) or None, caches).
 
-    Sampled layers (see `LayerSpec.draws`) carry T weight sets. The layers
-    before the first of them run once; from there on every activation has
-    a leading draw axis, which plain layers see as T * N batch rows, and
-    the outputs become logits (T,N,K) and boxes (T,N,4).
+    A sampled layer carries T weight sets on a leading axis of each tensor.
+    Set t meets batch row t, and a single row meets all T sets, so one
+    input comes out as T rows, one per draw.
     """
     if not model.layers:
         raise ShapeError("model has no layers; forward is undefined")
     x = np.asarray(x, dtype=np.float64)
     caches = []
-    drawn = False  # whether x carries the leading draw axis
     # an overflow surfaces once, as the NumericsError below
     with np.errstate(over="ignore", invalid="ignore"):
         for layer in model.layers:
-            if layer.draws:
-                x, cache = _FWD[layer.kind](layer, x if drawn else x[None])
-                drawn = True
-            elif drawn:
-                out, cache = _FWD[layer.kind](layer, x.reshape((-1,) + x.shape[2:]))
-                x = out.reshape(x.shape[:2] + out.shape[1:])
-            else:
-                x, cache = _FWD[layer.kind](layer, x)
+            x, cache = _FWD[layer.kind](layer, x)
             caches.append(cache if want_caches else None)
-    if x.ndim != 2 + drawn or x.shape[-1] != model.head_width:
+    if x.ndim != 2 or x.shape[1] != model.head_width:
         raise ShapeError(
             f"final layer produced shape {x.shape}, expected (N, {model.head_width})")
     if not np.all(np.isfinite(x)):
         raise NumericsError("forward pass produced non-finite outputs")
-    logits = x[..., :model.class_count]
-    boxes = x[..., model.class_count:] if model.has_box_head else None
+    logits = x[:, :model.class_count]
+    boxes = x[:, model.class_count:] if model.has_box_head else None
     return logits, boxes, caches
 
 

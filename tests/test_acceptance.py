@@ -222,7 +222,7 @@ SHAPES_TRAIN = {"learning_rate": 0.02, "epochs": 50, "batch_size": 32,
 def run_benchmark(pairing, cfg):
     model, _ = build_and_train(cfg, pairing)
     report, per_input, _ = evaluate_pairing(model, pairing, cfg)
-    return model, report, per_input
+    return model, report["metrics"], per_input
 
 
 def test_criterion_08_blobs_benchmark():
@@ -235,7 +235,7 @@ def test_criterion_08_blobs_benchmark():
         base_cfg = RunConfig(dataset=dataset, architecture="micro-mlp",
                              train=BLOBS_TRAIN, policy="none", t_mc=1,
                              seed=seed)
-        model, base_report, _ = run_benchmark(pairing, base_cfg)
+        model, base, _ = run_benchmark(pairing, base_cfg)
 
         # conv_all selects nothing on the all-linear micro-mlp, so it must
         # reproduce the deterministic baseline ...
@@ -244,7 +244,7 @@ def test_criterion_08_blobs_benchmark():
                              train=BLOBS_TRAIN, policy="conv_all", t_mc=30,
                              alpha=0.05, q=0.05, seed=seed)
         conv_report, _, _ = evaluate_pairing(model, pairing, conv_cfg)
-        assert conv_report.metrics_dict() == base_report.metrics_dict()
+        assert conv_report["metrics"] == base
 
         # ... and the weight-perturbation clauses are exercised with
         # linear_all, the policy that actually touches this architecture
@@ -253,11 +253,12 @@ def test_criterion_08_blobs_benchmark():
                               alpha=0.05, q=0.05, seed=seed)
         report, per_input, _ = evaluate_pairing(model, pairing, bayes_cfg)
         std_frac = float(np.mean(per_input["score_std"] > 0))
-        details.append((seed, base_report.auroc, report.auroc, std_frac))
+        auroc = report["metrics"]["auroc"]
+        details.append((seed, base["auroc"], auroc, std_frac))
         if seed == 0:
-            assert base_report.auroc >= 0.95, f"baseline auroc {base_report.auroc}"
-        assert report.auroc >= base_report.auroc - 0.02, \
-            f"seed {seed}: bayes {report.auroc} vs baseline {base_report.auroc}"
+            assert base["auroc"] >= 0.95, f"baseline auroc {base['auroc']}"
+        assert auroc >= base["auroc"] - 0.02, \
+            f"seed {seed}: bayes {auroc} vs baseline {base['auroc']}"
         assert std_frac >= 0.99, f"seed {seed}: score_std>0 on {std_frac:.2%}"
     summary = "; ".join(f"seed {s}: base {b:.3f} bayes {a:.3f} std>0 {f:.0%}"
                         for s, b, a, f in details)
@@ -273,11 +274,11 @@ def test_criterion_09_shapes_benchmark():
                         architecture="micro-cnn", train=SHAPES_TRAIN,
                         policy="conv_all", t_mc=30, alpha=0.05, q=0.05,
                         phi=0.25, seed=seed)
-        _, report, per_input = run_benchmark(pairing, cfg)
+        _, metrics, per_input = run_benchmark(pairing, cfg)
         scores = per_input["score"]
         n_id = len(pairing.id_test)
         margin = float(scores[:n_id].mean() - scores[n_id:].mean())
-        det_acc = report.box_iou_accuracy
+        det_acc = metrics["box_iou_accuracy"]
         details.append((seed, det_acc, margin))
         ok = ok and det_acc >= 0.8 and margin > 0.0
     summary = "; ".join(f"seed {s}: det-acc {d:.3f} mean-S margin {m:+.4f}"

@@ -161,12 +161,12 @@ def test_sample_layer_weights_exhaustion(monkeypatch):
 
 def test_mc_predict_empty_selection_is_deterministic():
     model = build_model("micro-mlp", (2,), 3, seed=5)
-    x = np.array([[0.5, 1.5]])
-    base_logits = forward_batch(model, x)[0][0]
+    x = np.array([[0.5, 1.5], [-1.0, 0.25], [2.0, -0.75]])
+    base_logits = forward_batch(model, x)[0]
     logits, boxes = mc_predict(model, [], x, 5, seed=0)
-    assert logits.shape == (1, 5, 3)
-    for row in logits[0]:
-        assert np.array_equal(row, base_logits)
+    assert logits.shape == (3, 5, 3)
+    expected = np.broadcast_to(base_logits[:, None], logits.shape)
+    assert logits.tobytes() == np.ascontiguousarray(expected).tobytes()
     assert boxes is None
 
 

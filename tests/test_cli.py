@@ -115,6 +115,9 @@ MALFORMED_CONFIGS = [
     ("layers-int", {"layers": 5}),
     ("layers-string", {"layers": "fc1"}),
     ("layers-not-strings", {"layers": [1]}),
+    ("alpha-beyond-float-range", {"alpha": 10 ** 400}),
+    ("train-negative-box-weight", {"train": {"learning_rate": 0.05, "epochs": 3,
+                                             "box_loss_weight": -50}}),
 ]
 
 
@@ -127,7 +130,8 @@ NUMERIC_KEYS = (
 
 @pytest.mark.parametrize("section,key", NUMERIC_KEYS,
                          ids=[f"{s}{k}" for s, k in NUMERIC_KEYS])
-@pytest.mark.parametrize("value", [True, "1"], ids=["bool", "string"])
+@pytest.mark.parametrize("value", [True, "1", float("nan"), float("inf")],
+                         ids=["bool", "string", "nan", "inf"])
 def test_numeric_key_of_wrong_type_exits_2_naming_it(tmp_path, capsys, section, key, value):
     if section:
         config = write_config(tmp_path, train={**BLOBS_CONFIG["train"], key: value})
@@ -138,6 +142,21 @@ def test_numeric_key_of_wrong_type_exits_2_naming_it(tmp_path, capsys, section, 
     assert run(["train", "--config", config, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {section}{key} must be "), err
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate-layers"])
+def test_model_with_fewer_classes_than_data_exits_2(tmp_path, capsys, command):
+    model = train_model(tmp_path, write_config(tmp_path))
+    four = json.loads(json.dumps(BLOBS_CONFIG["dataset"]))
+    four["params"]["k"] = 4
+    config = write_config(tmp_path, "four.json", dataset=four)
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert run([command, "--config", config, "--model", model, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert "3 classes" in err[0] and "dataset 4" in err[0], err
 
 
 # whole documents handed to `report`, which reads report.json files

@@ -71,6 +71,12 @@ def test_forward_shape_error_names_layer():
                   backbone_end=0, class_count=3)
     with pytest.raises(ShapeError, match="head"):
         forward(model, np.zeros(5))
+    # a batch of the wrong rank: 4-D into a linear layer, 2-D into a conv
+    with pytest.raises(ShapeError, match="'head'"):
+        forward_batch(model, np.zeros((2, 1, 1, 3)))
+    cnn = build_model("micro-cnn", (1, 8, 8), 3, seed=0)
+    with pytest.raises(ShapeError, match="'conv1'"):
+        forward_batch(cnn, np.zeros((2, 64)))
 
 
 def test_forward_repeatable_bit_exact():
