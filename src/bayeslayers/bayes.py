@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaincinv
 
-from .network import Model, LayerSpec, LEARNABLE, forward_batch
+from .network import Model, LayerSpec, LEARNABLE, forward_batch, run_layers
 from .numerics import Rng, softmax
 
 __all__ = [
@@ -150,14 +150,26 @@ def sample_layer_weights(post: GaussianLayerPosterior, rng: Rng) -> np.ndarray:
         f"(q={post.epsilon_quantile})")
 
 
+# Inputs per batched run of the draw-free prefix. Peak RSS after a
+# cnn-linear eval: 63.2 MiB at 8, 65.4 at 16, 69.1 at 32, 83-85 MiB for
+# the whole test set at once.
+_PREFIX_CHUNK = 8
+
+
 def mc_predict(model: Model, posteriors: list, inputs: np.ndarray,
                sample_count: int, seed: int = 0):
     """Ensemble of the inputs (N, ...) through T = sample_count weight sets
     drawn once. Draw t of the selected layer at index i comes from the
     child generator split at (seed, t, i), so an input's logits depend on
-    the seed, the model and that input only. Each input is one forward
-    pass of T rows, one per draw (see `forward_batch`). With no posteriors
-    nothing is drawn: one batched forward over all inputs fills all T.
+    the seed, the model and that input only.
+
+    The draw-free prefix, the layers before the first sampled or linear
+    layer, runs once per chunk of 8 inputs. It stops at the first linear
+    layer because a GEMM's last bits depend on its row count; conv, relu,
+    pool and flatten treat each image on its own. From there each input is
+    one forward pass of T rows, one per draw (see `forward_batch`). With
+    no posteriors nothing is drawn: one batched forward over all inputs
+    fills all T.
     Returns (logits (N, T, K), boxes (N, T, 4) or None).
     """
     if sample_count < 1:
@@ -170,27 +182,31 @@ def mc_predict(model: Model, posteriors: list, inputs: np.ndarray,
                 None if boxes is None else np.broadcast_to(boxes[:, None], shape + (4,)))
     base = Rng(seed)
     by_name = {p.layer_name: p for p in posteriors}
-    layers = []
-    for i, layer in enumerate(model.layers):
+    prefix = next((i for i, layer in enumerate(model.layers)
+                  if layer.name in by_name or layer.kind == "linear"), 0)
+    suffix = []
+    for i, layer in enumerate(model.layers[prefix:], start=prefix):
         post = by_name.get(layer.name)
         if post is None:
-            layers.append(layer)
+            suffix.append(layer)
             continue
         flat = np.stack([sample_layer_weights(post, base.split(t, i))
                          for t in range(sample_count)])
         params = dict(layer.params)
         params.update(post.split_tensors(flat))
-        layers.append(LayerSpec(layer.name, layer.kind, params,
+        suffix.append(LayerSpec(layer.name, layer.kind, params,
                                 stride=layer.stride, padding=layer.padding))
-    sampled = Model(layers, model.backbone_end, model.class_count,
-                    model.has_box_head)
+    sampled = Model(suffix, 0, model.class_count, model.has_box_head)
     logits = np.empty((len(inputs), sample_count, model.class_count))
     boxes = np.empty((len(inputs), sample_count, 4)) if model.has_box_head else None
     # one input per pass keeps activations at T rows, not T * N
-    for n, x in enumerate(inputs):
-        logits[n], bx, _ = forward_batch(sampled, x[None])
-        if boxes is not None:
-            boxes[n] = bx
+    for start in range(0, len(inputs), _PREFIX_CHUNK):
+        rows, _ = run_layers(model.layers[:prefix],
+                             inputs[start:start + _PREFIX_CHUNK])
+        for n, row in enumerate(rows, start=start):
+            logits[n], bx, _ = forward_batch(sampled, row[None])
+            if boxes is not None:
+                boxes[n] = bx
     return logits, boxes
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "TrainingDivergedError",
     "LAYER_KINDS",
     "LEARNABLE",
+    "run_layers",
     "forward_batch",
     "loss_and_gradients",
     "train_sgd",
@@ -189,27 +190,35 @@ def _pool_windows(x, h2, w2):
     return x[:, :, :2 * h2, :2 * w2].reshape(x.shape[:2] + (h2, 2, w2, 2))
 
 
+def _pool_corners(x, h2, w2):
+    """The four corners of x's 2x2 windows in row-major window order,
+    each (N, C, h2, w2)."""
+    win = _pool_windows(x, h2, w2)
+    return tuple(win[:, :, :, k // 2, :, k % 2] for k in range(4))
+
+
 def _fwd_maxpool2(layer, x):
     if x.ndim != 4:
         raise ShapeError(f"layer {layer.name!r}: expected (N,C,H,W), got {x.shape}")
     h2, w2 = x.shape[2] // 2, x.shape[3] // 2
     if h2 < 1 or w2 < 1:
         raise ShapeError(f"layer {layer.name!r}: input {x.shape[2]}x{x.shape[3]} too small to pool")
-    win = _pool_windows(x, h2, w2)
-    # the four corners in row-major window order
-    c0, c1, c2, c3 = (win[:, :, :, k // 2, :, k % 2] for k in range(4))
+    c0, c1, c2, c3 = _pool_corners(x, h2, w2)
     # np.maximum returns its second operand on a tie of signed zeros, so
     # passing the earlier corner second yields the first maximum's value
     out = np.maximum(np.maximum(c3, c2), np.maximum(c1, c0))
-    # index of the first corner holding the maximum: the gradient goes there
-    idx = np.where(c0 == out, 0, np.where(c1 == out, 1, np.where(c2 == out, 2, 3)))
-    return out, (x.shape, idx)
+    # the argmax only the backward reads is derived there from x and out
+    return out, (x, out)
 
 
 def _bwd_maxpool2(layer, dout, cache):
-    x_shape, idx = cache
-    dx = np.zeros(x_shape, dtype=np.float64)
-    win = _pool_windows(dx, x_shape[2] // 2, x_shape[3] // 2)
+    x, out = cache
+    h2, w2 = out.shape[2], out.shape[3]
+    c0, c1, c2, _ = _pool_corners(x, h2, w2)
+    # index of the first corner holding the maximum: the gradient goes there
+    idx = np.where(c0 == out, 0, np.where(c1 == out, 1, np.where(c2 == out, 2, 3)))
+    dx = np.zeros(x.shape, dtype=np.float64)
+    win = _pool_windows(dx, h2, w2)
     for k in range(4):
         win[:, :, :, k // 2, :, k % 2] = np.where(idx == k, dout, 0.0)
     return dx, {}
@@ -229,6 +238,20 @@ _BWD = {"conv2d": _bwd_conv, "linear": _bwd_linear, "relu": _bwd_relu,
         "maxpool2": _bwd_maxpool2, "flatten": _bwd_flatten}
 
 
+def run_layers(layers: list, x: np.ndarray, want_caches: bool = False):
+    """Run a batch through a list of layers; returns (output, caches).
+
+    Overflow is not reported here: a non-finite value reaches the model's
+    output, where `forward_batch` raises it once as a NumericsError."""
+    x = np.asarray(x, dtype=np.float64)
+    caches = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer in layers:
+            x, cache = _FWD[layer.kind](layer, x)
+            caches.append(cache if want_caches else None)
+    return x, caches
+
+
 def forward_batch(model: Model, x: np.ndarray, want_caches: bool = False):
     """Run a batch through the model.
 
@@ -240,13 +263,7 @@ def forward_batch(model: Model, x: np.ndarray, want_caches: bool = False):
     """
     if not model.layers:
         raise ShapeError("model has no layers; forward is undefined")
-    x = np.asarray(x, dtype=np.float64)
-    caches = []
-    # an overflow surfaces once, as the NumericsError below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for layer in model.layers:
-            x, cache = _FWD[layer.kind](layer, x)
-            caches.append(cache if want_caches else None)
+    x, caches = run_layers(model.layers, x, want_caches)
     if x.ndim != 2 or x.shape[1] != model.head_width:
         raise ShapeError(
             f"final layer produced shape {x.shape}, expected (N, {model.head_width})")
@@ -295,8 +312,9 @@ def loss_and_gradients(model: Model, inputs: np.ndarray, labels: np.ndarray,
     if not np.isfinite(loss):
         raise NumericsError("loss is non-finite")
     grads = {}
-    for layer, cache in zip(reversed(model.layers), reversed(caches)):
-        dout, g = _BWD[layer.kind](layer, dout, cache)
+    # a cache is dropped once its backward has run
+    for layer in reversed(model.layers):
+        dout, g = _BWD[layer.kind](layer, dout, caches.pop())
         if g:
             grads[layer.name] = g
     return loss, grads

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from bayeslayers.bayes import (GaussianLayerPosterior, SamplerExhaustedError,
                                chi_square_quantile, mc_predict,
                                predictive_mean, sample_layer_weights,
                                select_layers)
-from bayeslayers.network import LayerSpec, Model, build_model, forward_batch
-from bayeslayers.numerics import Rng
+from bayeslayers.network import (LayerSpec, Model, build_model, forward_batch,
+                                 run_layers)
+from bayeslayers.numerics import NumericsError, Rng, ShapeError
 
 
 def mixed_model():
@@ -211,6 +213,39 @@ def test_mc_predict_row_depends_on_its_input_only():
     assert again_boxes.tobytes() == boxes[[2, 0]].tobytes()
 
 
+# selections with a draw-free prefix on micro-cnn: conv1..flatten, then
+# conv1..flatten again (the prefix stops at the unsampled fc1), then conv1..pool1
+PREFIX_CASES = [("linear_all", None), ("none", ["head"]), ("none", ["conv2", "head"])]
+PREFIX_IDS = ["linear_all", "head", "conv2-head"]
+
+
+@pytest.mark.parametrize("policy,layers", PREFIX_CASES[:2], ids=PREFIX_IDS[:2])
+def test_mc_predict_prefixed_row_depends_on_its_input_only(policy, layers):
+    # the prefix runs per chunk of inputs, yet a row does not see its chunk
+    model = build_model("micro-cnn", (1, 16, 16), 3, has_box_head=True, seed=12)
+    inputs = np.random.default_rng(25).uniform(size=(11, 1, 16, 16))
+    posteriors = build_posteriors(model, select_layers(model, policy, layers), alpha=0.2)
+    logits, boxes = mc_predict(model, posteriors, inputs, 4, seed=3)
+    pick = [9, 2, 5]
+    again, again_boxes = mc_predict(model, posteriors, inputs[pick], 4, seed=3)
+    assert again.tobytes() == logits[pick].tobytes()
+    assert again_boxes.tobytes() == boxes[pick].tobytes()
+
+
+def test_mc_predict_prefix_errors():
+    model = build_model("micro-cnn", (1, 8, 8), 3, seed=0)
+    posteriors = build_posteriors(model, select_layers(model, "linear_all"), alpha=0.2)
+    with pytest.raises(ShapeError, match="'conv1'"):
+        mc_predict(model, posteriors, np.zeros((2, 64)), 3)
+    # an overflow in the prefix stays quiet until the output check
+    x = np.full((2, 1, 8, 8), 1e308)
+    assert not np.all(np.isfinite(run_layers(model.layers[:1], x)[0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError):
+            mc_predict(model, posteriors, x, 3)
+
+
 def test_mc_predict_head_logits_follow_the_gaussian_law():
     # with only the head sampled and q = 0, head weights (W, b) ~ N(M, s^2 I)
     # give logits W h + b ~ N(M (h, 1), s^2 |(h, 1)|^2) for hidden input h
@@ -251,6 +286,39 @@ def per_draw_reference(model, posteriors, inputs, sample_count, seed):
         boxes.append(bx)
     return (np.stack(logits, axis=1),
             None if boxes[0] is None else np.stack(boxes, axis=1))
+
+
+def per_input_reference(model, posteriors, inputs, sample_count, seed):
+    """The whole network one input per pass, each sampled layer carrying
+    all T draws from the split(t, i) streams: mc_predict without its
+    batched prefix. Returns logits (N, T, K) and boxes (N, T, 4)."""
+    by_name = {p.layer_name: p for p in posteriors}
+    layers = []
+    for i, layer in enumerate(model.layers):
+        post = by_name.get(layer.name)
+        if post is not None:
+            flat = np.stack([sample_layer_weights(post, Rng(seed).split(t, i))
+                             for t in range(sample_count)])
+            params = dict(layer.params)
+            params.update(post.split_tensors(flat))
+            layer = LayerSpec(layer.name, layer.kind, params,
+                              stride=layer.stride, padding=layer.padding)
+        layers.append(layer)
+    drawn = Model(layers, model.backbone_end, model.class_count, model.has_box_head)
+    passes = [forward_batch(drawn, x[None]) for x in inputs]
+    return np.stack([p[0] for p in passes]), np.stack([p[1] for p in passes])
+
+
+@pytest.mark.parametrize("policy,layers", PREFIX_CASES, ids=PREFIX_IDS)
+def test_mc_predict_prefix_matches_per_input_reference_bitwise(policy, layers):
+    # 11 inputs cross a boundary between prefix chunks
+    model = build_model("micro-cnn", (1, 16, 16), 3, has_box_head=True, seed=14)
+    inputs = np.random.default_rng(24).uniform(size=(11, 1, 16, 16))
+    posteriors = build_posteriors(model, select_layers(model, policy, layers), alpha=0.2)
+    logits, boxes = mc_predict(model, posteriors, inputs, 4, seed=6)
+    want_logits, want_boxes = per_input_reference(model, posteriors, inputs, 4, 6)
+    assert logits.tobytes() == want_logits.tobytes()
+    assert boxes.tobytes() == want_boxes.tobytes()
 
 
 ENGINE_CASES = [
