@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaincinv
 
-from .network import Model, LayerSpec, LEARNABLE, forward_batch, run_layers
+from .network import Model, LayerSpec, LEARNABLE, run_layers, split_outputs
 from .numerics import Rng, softmax
 
 __all__ = [
@@ -93,7 +93,8 @@ class GaussianLayerPosterior:
 
     def split_tensors(self, flat: np.ndarray) -> dict:
         """Slice flat parameter vectors (..., m) back into named tensors
-        (..., *shape), keeping any leading axes such as a draw axis."""
+        (..., *shape), keeping any leading axes, such as the T weight sets
+        of a sampled layer."""
         out = {}
         pos = 0
         for name, shape in self.tensor_shapes:
@@ -150,10 +151,10 @@ def sample_layer_weights(post: GaussianLayerPosterior, rng: Rng) -> np.ndarray:
         f"(q={post.epsilon_quantile})")
 
 
-# Inputs per batched run of the draw-free prefix. Peak RSS after a
-# cnn-linear eval: 63.2 MiB at 8, 65.4 at 16, 69.1 at 32, 83-85 MiB for
-# the whole test set at once.
-_PREFIX_CHUNK = 8
+# Input values per batched run of the draw-free prefix: 8 images of
+# 28x28. Peak RSS after a cnn-linear eval: 63.2 MiB at 8 images, 65.4 at
+# 16, 69.1 at 32, 83-85 MiB for the whole test set at once.
+_PREFIX_VALUES = 8 * 28 * 28
 
 
 def mc_predict(model: Model, posteriors: list, inputs: np.ndarray,
@@ -163,29 +164,31 @@ def mc_predict(model: Model, posteriors: list, inputs: np.ndarray,
     child generator split at (seed, t, i), so an input's logits depend on
     the seed, the model and that input only.
 
-    The draw-free prefix, the layers before the first sampled or linear
-    layer, runs once per chunk of 8 inputs. It stops at the first linear
-    layer because a GEMM's last bits depend on its row count; conv, relu,
-    pool and flatten treat each image on its own. From there each input is
-    one forward pass of T rows, one per draw (see `forward_batch`). With
-    no posteriors nothing is drawn: one batched forward over all inputs
-    fills all T.
+    The draw-free prefix, every layer before the first sampled one (the
+    whole model when nothing is sampled), runs once per chunk of inputs:
+    as many as fit in 8 * 28 * 28 input values, and at least one. Each
+    unsampled linear layer in it holds its weight as one weight set (see
+    `forward_batch`), so it multiplies each row on its own, as conv, relu,
+    max-pool and flatten treat each image on its own; a batched product's
+    last bits would depend on the row count. From the first sampled layer
+    on, each input is one pass of T rows, one per draw; when nothing is
+    drawn, the prefix's rows stand for all T draws.
     Returns (logits (N, T, K), boxes (N, T, 4) or None).
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     inputs = np.asarray(inputs, dtype=np.float64)
-    if not posteriors:
-        logits, boxes, _ = forward_batch(model, inputs)
-        shape = (len(inputs), sample_count)
-        return (np.broadcast_to(logits[:, None], shape + logits.shape[1:]),
-                None if boxes is None else np.broadcast_to(boxes[:, None], shape + (4,)))
+    if len(inputs) < 1:
+        raise ValueError("no inputs to predict")
     base = Rng(seed)
     by_name = {p.layer_name: p for p in posteriors}
-    prefix = next((i for i, layer in enumerate(model.layers)
-                  if layer.name in by_name or layer.kind == "linear"), 0)
+    first = next((i for i, layer in enumerate(model.layers) if layer.name in by_name),
+                 len(model.layers))
+    prefix = [LayerSpec(layer.name, layer.kind,
+                        dict(layer.params, weight=layer.params["weight"][None]))
+              if layer.kind == "linear" else layer for layer in model.layers[:first]]
     suffix = []
-    for i, layer in enumerate(model.layers[prefix:], start=prefix):
+    for i, layer in enumerate(model.layers[first:], start=first):
         post = by_name.get(layer.name)
         if post is None:
             suffix.append(layer)
@@ -196,18 +199,18 @@ def mc_predict(model: Model, posteriors: list, inputs: np.ndarray,
         params.update(post.split_tensors(flat))
         suffix.append(LayerSpec(layer.name, layer.kind, params,
                                 stride=layer.stride, padding=layer.padding))
-    sampled = Model(suffix, 0, model.class_count, model.has_box_head)
-    logits = np.empty((len(inputs), sample_count, model.class_count))
-    boxes = np.empty((len(inputs), sample_count, 4)) if model.has_box_head else None
-    # one input per pass keeps activations at T rows, not T * N
-    for start in range(0, len(inputs), _PREFIX_CHUNK):
-        rows, _ = run_layers(model.layers[:prefix],
-                             inputs[start:start + _PREFIX_CHUNK])
-        for n, row in enumerate(rows, start=start):
-            logits[n], bx, _ = forward_batch(sampled, row[None])
-            if boxes is not None:
-                boxes[n] = bx
-    return logits, boxes
+    chunk = max(1, _PREFIX_VALUES // max(1, inputs[0].size))
+    passes = []
+    for start in range(0, len(inputs), chunk):
+        rows, _ = run_layers(prefix, inputs[start:start + chunk])
+        # one input per pass keeps activations at T rows, not T * N
+        passes.append(np.stack([run_layers(suffix, row[None])[0] for row in rows])
+                      if suffix else rows[:, None])
+    out = np.concatenate(passes)  # (N, T, ...), or (N, 1, ...) with no draws
+    out = np.broadcast_to(out, (len(inputs), sample_count) + out.shape[2:])
+    logits, boxes = split_outputs(model, out.reshape((-1,) + out.shape[2:]))
+    shape = (len(inputs), sample_count, -1)
+    return logits.reshape(shape), None if boxes is None else boxes.reshape(shape)
 
 
 def predictive_mean(logits: np.ndarray, boxes: np.ndarray | None = None):

@@ -288,9 +288,7 @@ def cmd_train(cfg: RunConfig, out_dir: str) -> int:
 def cmd_calibrate(cfg: RunConfig, model_path: str, out_dir: str) -> int:
     """Write gamma.json from the ID test scores alone: an input's scores
     depend on the seed, the model and that input only, so they equal the
-    ones `eval` gives it. Under an empty selection they may differ in the
-    last bits, since the one batched forward's matrix products depend on
-    the row count (ID only here, ID and OOD in `eval`)."""
+    ones `eval` gives it."""
     _require_dir(out_dir)
     model = load_model(model_path)
     pairing = resolve_dataset(cfg)

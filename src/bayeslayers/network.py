@@ -22,6 +22,7 @@ __all__ = [
     "LAYER_KINDS",
     "LEARNABLE",
     "run_layers",
+    "split_outputs",
     "forward_batch",
     "loss_and_gradients",
     "train_sgd",
@@ -242,7 +243,7 @@ def run_layers(layers: list, x: np.ndarray, want_caches: bool = False):
     """Run a batch through a list of layers; returns (output, caches).
 
     Overflow is not reported here: a non-finite value reaches the model's
-    output, where `forward_batch` raises it once as a NumericsError."""
+    output, where `split_outputs` raises it once as a NumericsError."""
     x = np.asarray(x, dtype=np.float64)
     caches = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -250,6 +251,19 @@ def run_layers(layers: list, x: np.ndarray, want_caches: bool = False):
             x, cache = _FWD[layer.kind](layer, x)
             caches.append(cache if want_caches else None)
     return x, caches
+
+
+def split_outputs(model: Model, x: np.ndarray):
+    """Check the model's final output (N, head_width) and split it into
+    (logits (N,K), boxes (N,4) or None)."""
+    if not model.layers:
+        raise ShapeError("model has no layers; forward is undefined")
+    if x.ndim != 2 or x.shape[1] != model.head_width:
+        raise ShapeError(
+            f"final layer produced shape {x.shape}, expected (N, {model.head_width})")
+    if not np.all(np.isfinite(x)):
+        raise NumericsError("forward pass produced non-finite outputs")
+    return x[:, :model.class_count], x[:, model.class_count:] if model.has_box_head else None
 
 
 def forward_batch(model: Model, x: np.ndarray, want_caches: bool = False):
@@ -261,17 +275,8 @@ def forward_batch(model: Model, x: np.ndarray, want_caches: bool = False):
     Set t meets batch row t, and a single row meets all T sets, so one
     input comes out as T rows, one per draw.
     """
-    if not model.layers:
-        raise ShapeError("model has no layers; forward is undefined")
     x, caches = run_layers(model.layers, x, want_caches)
-    if x.ndim != 2 or x.shape[1] != model.head_width:
-        raise ShapeError(
-            f"final layer produced shape {x.shape}, expected (N, {model.head_width})")
-    if not np.all(np.isfinite(x)):
-        raise NumericsError("forward pass produced non-finite outputs")
-    logits = x[:, :model.class_count]
-    boxes = x[:, model.class_count:] if model.has_box_head else None
-    return logits, boxes, caches
+    return (*split_outputs(model, x), caches)
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +449,12 @@ def load_model(path: str) -> Model:
     backbone_end = r.unpack("<I")
     layer_count = r.unpack("<I")
     layers = []
-    seen = set()
     for _ in range(layer_count):
         nlen = r.unpack("<H")
-        name = r.take(nlen).decode("utf-8")
-        if name in seen:
-            raise PersistenceError(f"duplicate layer name {name!r}")
-        seen.add(name)
+        try:
+            name = r.take(nlen).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise PersistenceError(f"layer name is not UTF-8: {exc}") from exc
         code = r.unpack("<B")
         if code not in _KIND_BY_CODE:
             raise PersistenceError(f"unknown layer kind code {code}")
@@ -469,8 +473,16 @@ def load_model(path: str) -> Model:
             raw = r.take(4 * count)
             arr = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float64)
             params[tname] = arr
-        layers.append(LayerSpec(name, kind, params, stride=stride, padding=padding))
-    return Model(layers, backbone_end, class_count, has_box)
+        layers.append((name, kind, params, stride, padding))
+    if r.pos != len(r.data):
+        raise PersistenceError(f"{len(r.data) - r.pos} bytes after the last layer")
+    # the constructors' checks (names, ranges, counts) hold for the file too
+    try:
+        return Model([LayerSpec(name, kind, params, stride=stride, padding=padding)
+                      for name, kind, params, stride, padding in layers],
+                     backbone_end, class_count, has_box)
+    except ValueError as exc:
+        raise PersistenceError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, one printed pass/fail line each.
 
-The end-to-end benchmarks (criteria 8-10) train real models and take a few
-minutes; everything else is fast.
+Two criteria are slow: criterion 2 draws 1.2 million weight vectors
+through the rejection sampler, and criterion 9 trains micro-cnn across 5
+seeds. Everything else, the other end-to-end benchmarks (criteria 8 and
+10) included, takes about a second or less.
 """
 
 import math

@@ -164,7 +164,8 @@ def test_sample_layer_weights_exhaustion(monkeypatch):
 def test_mc_predict_empty_selection_is_deterministic():
     model = build_model("micro-mlp", (2,), 3, seed=5)
     x = np.array([[0.5, 1.5], [-1.0, 0.25], [2.0, -0.75]])
-    base_logits = forward_batch(model, x)[0]
+    # one input per pass: a batched GEMM's bits depend on its row count
+    base_logits = np.concatenate([forward_batch(model, row[None])[0] for row in x])
     logits, boxes = mc_predict(model, [], x, 5, seed=0)
     assert logits.shape == (3, 5, 3)
     expected = np.broadcast_to(base_logits[:, None], logits.shape)
@@ -176,6 +177,8 @@ def test_mc_predict_needs_a_draw():
     model = build_model("micro-mlp", (2,), 3, seed=5)
     with pytest.raises(ValueError):
         mc_predict(model, [], np.zeros((1, 2)), 0)
+    with pytest.raises(ValueError, match="no inputs"):
+        mc_predict(model, [], np.zeros((0, 2)), 3)
 
 
 def test_mc_predict_vanishing_width():
@@ -214,19 +217,23 @@ def test_mc_predict_row_depends_on_its_input_only():
 
 
 # selections with a draw-free prefix on micro-cnn: conv1..flatten, then
-# conv1..flatten again (the prefix stops at the unsampled fc1), then conv1..pool1
-PREFIX_CASES = [("linear_all", None), ("none", ["head"]), ("none", ["conv2", "head"])]
-PREFIX_IDS = ["linear_all", "head", "conv2-head"]
+# conv1..relu3 (through the unsampled fc1), then conv1..pool1, then the
+# whole model
+PREFIX_CASES = [("linear_all", None), ("none", ["head"]), ("none", ["conv2", "head"]),
+                ("none", None)]
+PREFIX_IDS = ["linear_all", "head", "conv2-head", "none"]
+# 26 inputs of 16x16 cross a boundary between prefix chunks of 24
+PREFIX_INPUTS = (26, 1, 16, 16)
 
 
-@pytest.mark.parametrize("policy,layers", PREFIX_CASES[:2], ids=PREFIX_IDS[:2])
+@pytest.mark.parametrize("policy,layers", PREFIX_CASES, ids=PREFIX_IDS)
 def test_mc_predict_prefixed_row_depends_on_its_input_only(policy, layers):
     # the prefix runs per chunk of inputs, yet a row does not see its chunk
     model = build_model("micro-cnn", (1, 16, 16), 3, has_box_head=True, seed=12)
-    inputs = np.random.default_rng(25).uniform(size=(11, 1, 16, 16))
+    inputs = np.random.default_rng(25).uniform(size=PREFIX_INPUTS)
     posteriors = build_posteriors(model, select_layers(model, policy, layers), alpha=0.2)
     logits, boxes = mc_predict(model, posteriors, inputs, 4, seed=3)
-    pick = [9, 2, 5]
+    pick = [25, 9, 2, 5]
     again, again_boxes = mc_predict(model, posteriors, inputs[pick], 4, seed=3)
     assert again.tobytes() == logits[pick].tobytes()
     assert again_boxes.tobytes() == boxes[pick].tobytes()
@@ -244,6 +251,15 @@ def test_mc_predict_prefix_errors():
         warnings.simplefilter("error")
         with pytest.raises(NumericsError):
             mc_predict(model, posteriors, x, 3)
+
+
+@pytest.mark.parametrize("layers", [[], ["head"]], ids=["none", "head"])
+def test_mc_predict_rejects_a_wrong_final_width(layers):
+    wide = build_model("micro-mlp", (2,), 5, seed=2)
+    model = Model(wide.layers, wide.backbone_end, class_count=3)
+    posteriors = build_posteriors(model, select_layers(model, "none", layers), alpha=0.2)
+    with pytest.raises(ShapeError, match="final layer produced shape"):
+        mc_predict(model, posteriors, np.zeros((4, 2)), 2)
 
 
 def test_mc_predict_head_logits_follow_the_gaussian_law():
@@ -306,14 +322,17 @@ def per_input_reference(model, posteriors, inputs, sample_count, seed):
         layers.append(layer)
     drawn = Model(layers, model.backbone_end, model.class_count, model.has_box_head)
     passes = [forward_batch(drawn, x[None]) for x in inputs]
-    return np.stack([p[0] for p in passes]), np.stack([p[1] for p in passes])
+    logits, boxes = (np.stack([p[k] for p in passes]) for k in (0, 1))
+    # with nothing drawn, a pass has one row that stands for all T draws
+    shape = (len(inputs), sample_count)
+    return (np.broadcast_to(logits, shape + logits.shape[2:]),
+            np.broadcast_to(boxes, shape + boxes.shape[2:]))
 
 
 @pytest.mark.parametrize("policy,layers", PREFIX_CASES, ids=PREFIX_IDS)
 def test_mc_predict_prefix_matches_per_input_reference_bitwise(policy, layers):
-    # 11 inputs cross a boundary between prefix chunks
     model = build_model("micro-cnn", (1, 16, 16), 3, has_box_head=True, seed=14)
-    inputs = np.random.default_rng(24).uniform(size=(11, 1, 16, 16))
+    inputs = np.random.default_rng(24).uniform(size=PREFIX_INPUTS)
     posteriors = build_posteriors(model, select_layers(model, policy, layers), alpha=0.2)
     logits, boxes = mc_predict(model, posteriors, inputs, 4, seed=6)
     want_logits, want_boxes = per_input_reference(model, posteriors, inputs, 4, 6)

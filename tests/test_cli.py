@@ -503,12 +503,24 @@ def test_retired_kind_code_in_model_exits_3_with_one_line(tmp_path, capsys):
     from test_network import write_relu_model
     model = tmp_path / "model.blyr"
     write_relu_model(model, 2)
+    retired = model.read_bytes()
+    write_relu_model(model, 3)
+    good = model.read_bytes()
+    # header: magic, version, class_count at 8, box flag, backbone_end at 13
+    corrupt = {"retired kind code": retired,
+               "backbone_end 99": good[:13] + (99).to_bytes(4, "little") + good[17:],
+               "class_count 0": good[:8] + bytes(4) + good[12:],
+               "trailing bytes": good + b"garbage",
+               "name not UTF-8": good.replace(b"r1", b"\xff\xfe")}
+    config = write_config(tmp_path)
     out = tmp_path / "eval"
     out.mkdir()
-    assert run(["eval", "--config", write_config(tmp_path), "--model", str(model),
-                "--out", str(out)]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("i/o error:"), err
+    for case, data in corrupt.items():
+        model.write_bytes(data)
+        assert run(["eval", "--config", config, "--model", str(model),
+                    "--out", str(out)]) == 3, case
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error:"), (case, err)
 
 
 def _no_c_library(name):
