@@ -151,10 +151,12 @@ def sample_layer_weights(post: GaussianLayerPosterior, rng: Rng) -> np.ndarray:
         f"(q={post.epsilon_quantile})")
 
 
-# Input values per batched run of the draw-free prefix: 8 images of
-# 28x28. Peak RSS after a cnn-linear eval: 63.2 MiB at 8 images, 65.4 at
-# 16, 69.1 at 32, 83-85 MiB for the whole test set at once.
-_PREFIX_VALUES = 8 * 28 * 28
+# Values per input chunk: 8 images of 28x28, or T rows of the tail's widest
+# output when that is more. Peak RSS after a cnn-linear eval: 63.2 MiB at 8
+# images, 65.4 at 16, 69.1 at 32, 83-85 MiB for the whole test set at once.
+# tracemalloc peak of an mlp-ablate linear_all mc_predict: 248 KiB in
+# chunks of 9 blobs, 3,287 KiB with all 300 in one.
+_CHUNK_VALUES = 8 * 28 * 28
 
 
 def mc_predict(model: Model, posteriors: list, inputs: np.ndarray,
@@ -164,15 +166,24 @@ def mc_predict(model: Model, posteriors: list, inputs: np.ndarray,
     child generator split at (seed, t, i), so an input's logits depend on
     the seed, the model and that input only.
 
-    The draw-free prefix, every layer before the first sampled one (the
-    whole model when nothing is sampled), runs once per chunk of inputs:
-    as many as fit in 8 * 28 * 28 input values, and at least one. Each
-    unsampled linear layer in it holds its weight as one weight set (see
-    `forward_batch`), so it multiplies each row on its own, as conv, relu,
-    max-pool and flatten treat each image on its own; a batched product's
-    last bits would depend on the row count. From the first sampled layer
-    on, each input is one pass of T rows, one per draw; when nothing is
-    drawn, the prefix's rows stand for all T draws.
+    Inputs run in chunks of as many as fit in 8 * 28 * 28 values, counting
+    an input's own values or T times the widest output of the tail (below),
+    whichever is more, and at least one. Per chunk:
+    - the draw-free prefix, every layer before the first sampled one (the
+      whole model when nothing is sampled), runs once. Each unsampled
+      linear layer in it holds its weight as one weight set (see
+      `forward_batch`), so it multiplies each row on its own, as conv,
+      relu, max-pool and flatten treat each image on its own; a batched
+      product's last bits would depend on the row count;
+    - the body, from the first sampled layer up to the tail, runs one input
+      per pass of T rows, one per draw, and the passes stack to rows
+      (B, T, ...). With no body (the first sampled layer is linear, or
+      nothing is sampled), the prefix's rows go on as (B, 1, ...), one row
+      that stands for all T draws;
+    - the tail, the trailing run of linear and relu layers, runs once on
+      those rows. `np.matmul` makes the same products there as a pass of
+      one input: a plain weight one product per input's (T, D) rows, T
+      weight sets one per (input, draw).
     Returns (logits (N, T, K), boxes (N, T, 4) or None).
     """
     if sample_count < 1:
@@ -199,13 +210,20 @@ def mc_predict(model: Model, posteriors: list, inputs: np.ndarray,
         params.update(post.split_tensors(flat))
         suffix.append(LayerSpec(layer.name, layer.kind, params,
                                 stride=layer.stride, padding=layer.padding))
-    chunk = max(1, _PREFIX_VALUES // max(1, inputs[0].size))
+    cut = len(suffix)
+    while cut and suffix[cut - 1].kind in ("linear", "relu"):
+        cut -= 1
+    body, tail = suffix[:cut], suffix[cut:]
+    widest = max((layer.params["weight"].shape[-2] for layer in tail
+                  if layer.kind == "linear"), default=0)
+    chunk = max(1, _CHUNK_VALUES // max(1, inputs[0].size, sample_count * widest))
     passes = []
     for start in range(0, len(inputs), chunk):
         rows, _ = run_layers(prefix, inputs[start:start + chunk])
-        # one input per pass keeps activations at T rows, not T * N
-        passes.append(np.stack([run_layers(suffix, row[None])[0] for row in rows])
-                      if suffix else rows[:, None])
+        # one input per pass keeps the body's activations at T rows
+        rows = (np.stack([run_layers(body, row[None])[0] for row in rows])
+                if body else rows[:, None])
+        passes.append(run_layers(tail, rows)[0])
     out = np.concatenate(passes)  # (N, T, ...), or (N, 1, ...) with no draws
     out = np.broadcast_to(out, (len(inputs), sample_count) + out.shape[2:])
     logits, boxes = split_outputs(model, out.reshape((-1,) + out.shape[2:]))

@@ -314,6 +314,10 @@ def cmd_eval(cfg: RunConfig, model_path: str, out_dir: str) -> int:
 
 
 def cmd_ablate_layers(cfg: RunConfig, model_path: str, out_dir: str) -> int:
+    if cfg.layers is not None:
+        # `layers` overrides the policy, so it would override all six
+        raise ConfigError("ablate-layers compares the six policies; "
+                          "remove 'layers' from the config")
     _require_dir(out_dir)
     model = load_model(model_path)
     pairing = resolve_dataset(cfg)
@@ -323,7 +327,6 @@ def cmd_ablate_layers(cfg: RunConfig, model_path: str, out_dir: str) -> int:
     for policy in POLICIES:
         sub = copy.deepcopy(cfg)
         sub.policy = policy
-        sub.layers = None
         key = tuple(select_layers(model, policy))
         if key not in by_selection:
             report, _, _ = evaluate_pairing(model, pairing, sub)

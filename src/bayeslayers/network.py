@@ -158,14 +158,19 @@ def _bwd_conv(layer, dout, cache):
 
 
 def _fwd_linear(layer, x):
+    """Rows (N, D), or (N, T, D) with one row per input and draw. A plain
+    weight multiplies each (T, D) block as one product, as a pass of one
+    input does. T weight sets (T, out, in) multiply each row on its own:
+    set t meets row t of the last batch axis, and a single row meets all T
+    sets (see forward_batch)."""
     w, b = layer.params["weight"], layer.params["bias"]
-    if x.ndim != 2:
-        raise ShapeError(f"layer {layer.name!r}: expected (N,D), got {x.shape}")
-    if x.shape[1] != w.shape[-1]:
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"layer {layer.name!r}: expected (N,D) or (N,T,D), got {x.shape}")
+    if x.shape[-1] != w.shape[-1]:
         raise ShapeError(
-            f"layer {layer.name!r}: input width {x.shape[1]} vs weight {w.shape}")
-    if w.ndim == 3:  # sampled weights (T, out, in), see forward_batch
-        return (x[:, None] @ w.swapaxes(-1, -2))[:, 0] + b, x
+            f"layer {layer.name!r}: input width {x.shape[-1]} vs weight {w.shape}")
+    if w.ndim == 3:
+        return (x[..., None, :] @ w.swapaxes(-1, -2))[..., 0, :] + b, x
     return x @ w.T + b, x
 
 
@@ -273,7 +278,10 @@ def forward_batch(model: Model, x: np.ndarray, want_caches: bool = False):
 
     A sampled layer carries T weight sets on a leading axis of each tensor.
     Set t meets batch row t, and a single row meets all T sets, so one
-    input comes out as T rows, one per draw.
+    input comes out as T rows, one per draw. Linear and relu layers also
+    take rows (N, T, D), one per input and draw: `bayes.mc_predict` runs
+    the model's trailing linear and relu layers on those through
+    `run_layers` (see `_fwd_linear`).
     """
     x, caches = run_layers(model.layers, x, want_caches)
     return (*split_outputs(model, x), caches)

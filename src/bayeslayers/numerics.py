@@ -1,8 +1,9 @@
 """Deterministic tensor arithmetic and random number generation.
 
 All in-memory arithmetic is float64. Layer operations live in `network`:
-`forward_batch` and `loss_and_gradients` raise on non-finite outputs and
-losses instead of propagating NaN/Inf silently.
+`split_outputs` raises on a non-finite model output and
+`loss_and_gradients` on a non-finite loss, instead of propagating NaN/Inf
+silently.
 """
 
 import numpy as np

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -307,7 +308,7 @@ def per_draw_reference(model, posteriors, inputs, sample_count, seed):
 def per_input_reference(model, posteriors, inputs, sample_count, seed):
     """The whole network one input per pass, each sampled layer carrying
     all T draws from the split(t, i) streams: mc_predict without its
-    batched prefix. Returns logits (N, T, K) and boxes (N, T, 4)."""
+    chunked prefix and tail. Returns logits (N, T, K) and boxes (N, T, 4)."""
     by_name = {p.layer_name: p for p in posteriors}
     layers = []
     for i, layer in enumerate(model.layers):
@@ -338,6 +339,67 @@ def test_mc_predict_prefix_matches_per_input_reference_bitwise(policy, layers):
     want_logits, want_boxes = per_input_reference(model, posteriors, inputs, 4, 6)
     assert logits.tobytes() == want_logits.tobytes()
     assert boxes.tobytes() == want_boxes.tobytes()
+
+
+# selections whose tail (the trailing linear/relu run) runs per chunk of
+# inputs: (arch, input shape, policy, layers, widest tail output; 7 classes
+# and 4 box values make the head 11 wide). The mlp tails start at the first
+# sampled layer; conv_all's runs the unsampled fc1, relu3 and head after a
+# body of one input per pass.
+TAIL_CASES = [("micro-mlp", (2,), "linear_all", None, 64),
+              ("micro-mlp", (2,), "none", ["fc1"], 64),
+              ("micro-mlp", (2,), "none", ["head"], 11),
+              ("micro-cnn", (1, 16, 16), "conv_all", None, 64)]
+TAIL_IDS = ["mlp-linear_all", "mlp-fc1", "mlp-head", "cnn-conv_all"]
+TAIL_DRAWS = 4
+
+
+def tail_case(arch, shape, policy, layers, widest, seed):
+    """Model, posteriors and inputs that cross one boundary between chunks;
+    returns them with the chunk size."""
+    model = build_model(arch, shape, 7, has_box_head=True, seed=seed)
+    posteriors = build_posteriors(model, select_layers(model, policy, layers), alpha=0.2)
+    chunk = bayes._CHUNK_VALUES // max(int(np.prod(shape)), TAIL_DRAWS * widest)
+    inputs = np.random.default_rng(seed).uniform(-2, 2, size=(chunk + 2,) + shape)
+    return model, posteriors, inputs, chunk
+
+
+@pytest.mark.parametrize("arch,shape,policy,layers,widest", TAIL_CASES, ids=TAIL_IDS)
+def test_mc_predict_tail_matches_per_input_reference_bitwise(arch, shape, policy,
+                                                             layers, widest):
+    model, posteriors, inputs, _ = tail_case(arch, shape, policy, layers, widest, 31)
+    logits, boxes = mc_predict(model, posteriors, inputs, TAIL_DRAWS, seed=8)
+    want_logits, want_boxes = per_input_reference(model, posteriors, inputs, TAIL_DRAWS, 8)
+    assert logits.tobytes() == want_logits.tobytes()
+    assert boxes.tobytes() == want_boxes.tobytes()
+
+
+@pytest.mark.parametrize("arch,shape,policy,layers,widest", TAIL_CASES, ids=TAIL_IDS)
+def test_mc_predict_tail_row_depends_on_its_input_only(arch, shape, policy,
+                                                      layers, widest):
+    model, posteriors, inputs, chunk = tail_case(arch, shape, policy, layers, widest, 32)
+    logits, _ = mc_predict(model, posteriors, inputs, TAIL_DRAWS, seed=9)
+    # rows from both chunks, scored together in one, and each alone
+    pick = [chunk + 1, 3, chunk, chunk - 1]
+    again, _ = mc_predict(model, posteriors, inputs[pick], TAIL_DRAWS, seed=9)
+    assert again.tobytes() == logits[pick].tobytes()
+    for i in pick:
+        alone, _ = mc_predict(model, posteriors, inputs[i:i + 1], TAIL_DRAWS, seed=9)
+        assert alone.tobytes() == logits[i:i + 1].tobytes()
+
+
+def test_mc_predict_memory_stays_within_its_chunk_budget():
+    # 300 inputs in one chunk peak at about 3.2 MiB; chunks of 9 at 0.25
+    model = build_model("micro-mlp", (2,), 3, seed=15)
+    inputs = np.random.default_rng(33).uniform(-2, 2, size=(300, 2))
+    posteriors = build_posteriors(model, select_layers(model, "linear_all"), alpha=0.2)
+    tracemalloc.start()
+    try:
+        mc_predict(model, posteriors, inputs, 10, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, f"tracemalloc peak {peak / 1024:.0f} KiB"
 
 
 ENGINE_CASES = [

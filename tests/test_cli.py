@@ -439,6 +439,21 @@ def test_ablate_layers_evaluates_each_distinct_selection_once(tmp_path, monkeypa
     assert policies == ["none", "linear_all"]
 
 
+def test_ablate_layers_rejects_configured_layers(tmp_path, capsys):
+    # `layers` overrides the policy, so ablate-layers cannot honour it
+    model = train_model(tmp_path, write_config(tmp_path))
+    config = write_config(tmp_path, "layers.json", layers=["head"])
+    out = tmp_path / "ablate"
+    out.mkdir()
+    capsys.readouterr()
+    assert run(["ablate-layers", "--config", config, "--model", model,
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert "'layers'" in err[0], err
+    assert not list(out.iterdir())
+
+
 def test_report_aggregates_mean_std(tmp_path):
     config = {"policy": "none"}
     values = [0.1, 0.2, 0.3, 0.4, 0.5]
