@@ -58,7 +58,10 @@ def roc_curve(scores: ScoreSet) -> list:
     the (0,0) endpoint at +inf, one point per distinct observed score.
     Trapezoid area over the curve equals auroc()."""
     ids, oods = np.sort(scores.id_scores), np.sort(scores.ood_scores)
-    thresholds = np.unique(np.concatenate([ids, oods]))[::-1]
+    # the distinct scores, each kept where it first shows in the sorted
+    # pool (np.unique would import numpy.ma on its first call)
+    pooled = np.sort(np.concatenate([ids, oods]))
+    thresholds = pooled[np.append(True, pooled[1:] != pooled[:-1])][::-1]
     # the share of each population scoring at or above each threshold
     tpr = (ids.size - np.searchsorted(ids, thresholds, "left")) / ids.size
     fpr = (oods.size - np.searchsorted(oods, thresholds, "left")) / oods.size

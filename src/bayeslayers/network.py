@@ -145,13 +145,15 @@ def _fwd_conv(layer, x):
     return out.reshape(out.shape[:-1] + (ho, wo)), (x.shape, cols)
 
 
-def _bwd_conv(layer, dout, cache):
+def _bwd_conv(layer, dout, cache, want_dx):
     x_shape, cols = cache
     w = layer.params["weight"]
     w2 = w.reshape(w.shape[0], -1)  # (F, K)
     d2 = dout.reshape(dout.shape[0], w.shape[0], -1)  # (N, F, L)
     dw = np.tensordot(d2, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
     db = d2.sum(axis=(0, 2))
+    if not want_dx:
+        return None, {"weight": dw, "bias": db}
     dcols = np.matmul(w2.T, d2)
     dx = col2im(dcols, x_shape, w.shape[2], w.shape[3], layer.stride, layer.padding)
     return dx, {"weight": dw, "bias": db}
@@ -174,10 +176,10 @@ def _fwd_linear(layer, x):
     return x @ w.T + b, x
 
 
-def _bwd_linear(layer, dout, cache):
+def _bwd_linear(layer, dout, cache, want_dx):
     x = cache
     w = layer.params["weight"]
-    return dout @ w, {"weight": dout.T @ x, "bias": dout.sum(axis=0)}
+    return dout @ w if want_dx else None, {"weight": dout.T @ x, "bias": dout.sum(axis=0)}
 
 
 def _fwd_relu(layer, x):
@@ -185,7 +187,7 @@ def _fwd_relu(layer, x):
     return x * mask, mask
 
 
-def _bwd_relu(layer, dout, cache):
+def _bwd_relu(layer, dout, cache, want_dx):
     return dout * cache, {}
 
 
@@ -217,7 +219,7 @@ def _fwd_maxpool2(layer, x):
     return out, (x, out)
 
 
-def _bwd_maxpool2(layer, dout, cache):
+def _bwd_maxpool2(layer, dout, cache, want_dx):
     x, out = cache
     h2, w2 = out.shape[2], out.shape[3]
     c0, c1, c2, _ = _pool_corners(x, h2, w2)
@@ -234,12 +236,14 @@ def _fwd_flatten(layer, x):
     return x.reshape(x.shape[0], -1), x.shape
 
 
-def _bwd_flatten(layer, dout, cache):
+def _bwd_flatten(layer, dout, cache, want_dx):
     return dout.reshape(cache), {}
 
 
 _FWD = {"conv2d": _fwd_conv, "linear": _fwd_linear, "relu": _fwd_relu,
         "maxpool2": _fwd_maxpool2, "flatten": _fwd_flatten}
+# A backward returns (input gradient, parameter gradients); with want_dx
+# False it skips the input gradient and returns None in its place.
 _BWD = {"conv2d": _bwd_conv, "linear": _bwd_linear, "relu": _bwd_relu,
         "maxpool2": _bwd_maxpool2, "flatten": _bwd_flatten}
 
@@ -325,9 +329,13 @@ def loss_and_gradients(model: Model, inputs: np.ndarray, labels: np.ndarray,
     if not np.isfinite(loss):
         raise NumericsError("loss is non-finite")
     grads = {}
-    # a cache is dropped once its backward has run
-    for layer in reversed(model.layers):
-        dout, g = _BWD[layer.kind](layer, dout, caches.pop())
+    # backpropagate down to the first learnable layer only: nothing reads
+    # its input gradient. A cache is dropped once its backward has run.
+    first = next((i for i, layer in enumerate(model.layers) if LEARNABLE[layer.kind]),
+                 len(model.layers))
+    for idx in reversed(range(first, len(model.layers))):
+        layer = model.layers[idx]
+        dout, g = _BWD[layer.kind](layer, dout, caches.pop(), idx > first)
         if g:
             grads[layer.name] = g
     return loss, grads

@@ -6,8 +6,6 @@ scores mean more ID-like. A sample is classified ID when its score is at
 least the calibrated threshold gamma.
 """
 
-import math
-
 import numpy as np
 
 from .numerics import log_sum_exp
@@ -74,13 +72,17 @@ def score_ensemble(logits: np.ndarray, phi: float = 1.0, temperature: float = 1.
 
 def calibrate_gamma(id_scores, tpr_target: float = 0.95) -> float:
     """Largest observed score gamma such that the fraction of ID scores >=
-    gamma is at least tpr_target (count threshold ceil(tpr_target * n))."""
+    gamma is at least tpr_target (count threshold: the smallest k with
+    k / n >= tpr_target)."""
     scores = np.asarray(id_scores, dtype=np.float64).reshape(-1)
-    if scores.size == 0:
+    n = scores.size
+    if n == 0:
         raise ValueError("empty score list")
     if not 0 < tpr_target <= 1:
         raise ValueError("tpr_target must be in (0, 1]")
-    k = math.ceil(tpr_target * scores.size)
+    # read k off the fractions themselves: ceil(tpr_target * n) can round
+    # one past it, as 0.55 * 100 = 55.000000000000007 does
+    k = int(np.searchsorted(np.arange(1, n + 1) / n, tpr_target)) + 1
     return float(np.sort(scores)[::-1][k - 1])
 
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaincinv
 
 from bayeslayers import bayes
 from bayeslayers.bayes import (GaussianLayerPosterior, SamplerExhaustedError,
@@ -120,10 +121,43 @@ def test_chi_square_quantile_q_zero():
     assert chi_square_quantile(1000, 0.0) == 0.0
 
 
+def test_chi_square_quantile_at_the_bottom_of_the_float_range():
+    # chi2_1's quantile at 1e-320 lies below the smallest float
+    assert chi_square_quantile(1, 1e-320) == 0.0 == gammaincinv(0.5, 1e-320)
+    assert chi_square_quantile(2, 1e-300) == pytest.approx(2e-300, rel=1e-12)
+
+
 def test_chi_square_quantile_vs_monte_carlo():
     draws = np.random.default_rng(100).chisquare(10, size=10 ** 7)
     empirical = np.quantile(draws, 0.5)
     assert abs(chi_square_quantile(10, 0.5) - empirical) <= 0.01
+
+
+QUANTILE_DOFS = (1, 2, 3, 9, 20, 80, 192, 195, 455, 1168, 50240, 10 ** 6)
+QUANTILE_LEVELS = (1e-9, 1e-6, 1e-3, 0.05, 0.5, 0.9, 0.99)
+# the parameter counts of the bench models' layers (micro-cnn with a box
+# head on shapes, micro-mlp on 2-d blobs)
+BENCH_LAYER_SIZES = (80, 192, 195, 455, 1168, 50240)
+
+
+@pytest.mark.parametrize("m", QUANTILE_DOFS)
+def test_chi_square_quantile_matches_scipy(m):
+    for q in QUANTILE_LEVELS:
+        want = 2.0 * gammaincinv(m / 2.0, q)
+        got = chi_square_quantile(m, q)
+        assert abs(got - want) <= 1e-11 * want, (m, q, got, want)
+
+
+def test_chi_square_quantile_bench_sizes_within_two_ulps_of_scipy():
+    for m in BENCH_LAYER_SIZES:
+        want = 2.0 * gammaincinv(m / 2.0, 0.05)
+        assert abs(chi_square_quantile(m, 0.05) - want) <= 2 * np.spacing(want), m
+
+
+def test_chi_square_quantile_rejects_levels_outside_unit_interval():
+    for q in (-1e-3, 1.0, 1.5):
+        with pytest.raises(ValueError):
+            chi_square_quantile(10, q)
 
 
 def test_sample_layer_weights_q0_accepts_first_draw():

@@ -128,6 +128,26 @@ def test_roc_curve_area_matches_auroc():
         assert abs(area - auroc(s)) < 1e-12
 
 
+def roc_reference(scores):
+    """ROC points with np.unique picking the thresholds."""
+    ids, oods = np.sort(scores.id_scores), np.sort(scores.ood_scores)
+    thresholds = np.unique(np.concatenate([ids, oods]))[::-1]
+    points = [(np.inf, 0.0, 0.0)]
+    for t in thresholds:
+        points.append((float(t), float(np.mean(ids >= t)), float(np.mean(oods >= t))))
+    if points[-1][1:] != (1.0, 1.0):
+        points.append((float(thresholds[-1]), 1.0, 1.0))
+    return points
+
+
+def test_roc_curve_matches_np_unique_reference():
+    signed_zeros = ([0.0, -0.0, 0.5, 0.5, 1.0, -0.25], [-0.0, 0.5, 0.25, 0.0, -0.25])
+    for ids, oods in [signed_zeros, *random_score_sets(50)]:
+        s = ScoreSet(ids, oods)
+        # == counts -0.0 and 0.0 as one threshold, as np.unique does
+        assert roc_curve(s) == roc_reference(s)
+
+
 def test_roc_curve_degenerate_single_points():
     points = roc_curve(ScoreSet([0.5], [0.5]))
     assert len(points) >= 2

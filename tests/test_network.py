@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from bayeslayers import network
 from bayeslayers.datasets import Split, gen_blobs, gen_shapes
 from bayeslayers.network import (LayerSpec, Model, PersistenceError,
                                  TrainConfig, TrainingDivergedError,
                                  build_model, forward_batch, load_model,
                                  loss_and_gradients, save_model, train_sgd)
-from bayeslayers.numerics import ShapeError, softmax
+from bayeslayers.numerics import ShapeError, col2im, softmax
 
 
 def linear_layer(name, weight, bias):
@@ -219,6 +220,23 @@ def test_gradients_match_finite_differences_strided_conv_and_odd_pool():
     x = rng.normal(size=(2, 2, 11, 11))
     assert_gradients_match_finite_differences(
         model, x, np.array([1, 2]), rng.uniform(0, 3, size=(2, 4)))
+
+
+def test_backward_skips_the_first_learnable_layers_input_gradient(monkeypatch):
+    # micro-cnn has two convs: conv2's input gradient feeds conv1's weight
+    # gradient, while conv1's input gradient has no reader
+    calls = []
+
+    def counting_col2im(dcols, x_shape, *args):
+        calls.append(x_shape)
+        return col2im(dcols, x_shape, *args)
+
+    monkeypatch.setattr(network, "col2im", counting_col2im)
+    model = build_model("micro-cnn", (1, 28, 28), 3, has_box_head=True, seed=0)
+    x = np.random.default_rng(16).normal(size=(2, 1, 28, 28))
+    _, grads = loss_and_gradients(model, x, [0, 1], np.zeros((2, 4)))
+    assert calls == [(2, 8, 14, 14)]  # conv2's input only
+    assert set(grads) == {"conv1", "conv2", "fc1", "head"}
 
 
 def test_max_pool_gradient_goes_to_first_maximum():

@@ -116,6 +116,17 @@ def test_calibrate_gamma_examples():
     assert calibrate_gamma([0.4, 0.2, 0.7], 1.0) == 0.2
 
 
+@pytest.mark.parametrize("n, target", [(100, 0.55), (25, 0.28)])
+def test_calibrate_gamma_stops_at_an_exact_count(n, target):
+    # target * n lands just above the count k = round(target * n) in
+    # floating point (55.000000000000007), yet k / n meets the target
+    k = round(target * n)
+    assert target * n > k and k / n >= target
+    scores = np.arange(n, dtype=np.float64)
+    assert calibrate_gamma(scores, target) == n - k  # the k-th largest score
+    assert calibrate_gamma(scores, target) == gamma_oracle(scores, target)
+
+
 def test_calibrate_gamma_vs_brute_force():
     rng = np.random.default_rng(33)
     for _ in range(100):
