@@ -8,11 +8,11 @@ disables the constraint, so the expected acceptance rate is 1 - q).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .network import Model, LayerSpec, LEARNABLE, run_layers, split_outputs
+from .network import Model, LEARNABLE, run_layers, split_outputs
 from .numerics import Rng, softmax
 
 __all__ = [
@@ -218,24 +218,20 @@ def mc_predict(model: Model, posteriors: list, inputs: np.ndarray,
     child generator split at (seed, t, i), so an input's logits depend on
     the seed, the model and that input only.
 
-    Inputs run in chunks of as many as fit in 8 * 28 * 28 values, counting
-    an input's own values or T times the widest output of the tail (below),
-    whichever is more, and at least one. Per chunk:
-    - the draw-free prefix, every layer before the first sampled one (the
-      whole model when nothing is sampled), runs once. Each unsampled
-      linear layer in it holds its weight as one weight set (see
-      `forward_batch`), so it multiplies each row on its own, as conv,
-      relu, max-pool and flatten treat each image on its own; a batched
-      product's last bits would depend on the row count;
-    - the body, from the first sampled layer up to the tail, runs one input
-      per pass of T rows, one per draw, and the passes stack to rows
-      (B, T, ...). With no body (the first sampled layer is linear, or
-      nothing is sampled), the prefix's rows go on as (B, 1, ...), one row
-      that stands for all T draws;
-    - the tail, the trailing run of linear and relu layers, runs once on
-      those rows. `np.matmul` makes the same products there as a pass of
-      one input: a plain weight one product per input's (T, D) rows, T
-      weight sets one per (input, draw).
+    The model runs in three parts, cut at its first linear layer, over
+    chunks of inputs that fit in 8 * 28 * 28 values: an input's own values
+    or its rows of the tail's widest output, whichever is more, and at
+    least one input. Per chunk:
+    - the draw-free prefix, the layers before both the first sampled layer
+      and the first linear layer, runs once;
+    - the body, from the first sampled layer up to the first linear layer,
+      runs one input per pass of T rows, one per draw; an empty body
+      leaves each input one row that stands for all T draws;
+    - the tail, every layer from the first linear layer on, runs once on
+      the rows (B, T', D), with flatten left out as the rows are flat.
+      `np.matmul` makes the same products there as a pass of one input: a
+      plain weight one product per input's (T', D) rows, T weight sets one
+      per (input, draw).
     Returns (logits (N, T, K), boxes (N, T, 4) or None).
     """
     if sample_count < 1:
@@ -245,36 +241,31 @@ def mc_predict(model: Model, posteriors: list, inputs: np.ndarray,
         raise ValueError("no inputs to predict")
     base = Rng(seed)
     by_name = {p.layer_name: p for p in posteriors}
-    first = next((i for i, layer in enumerate(model.layers) if layer.name in by_name),
-                 len(model.layers))
-    prefix = [LayerSpec(layer.name, layer.kind,
-                        dict(layer.params, weight=layer.params["weight"][None]))
-              if layer.kind == "linear" else layer for layer in model.layers[:first]]
-    suffix = []
-    for i, layer in enumerate(model.layers[first:], start=first):
+    layers = []
+    for i, layer in enumerate(model.layers):
         post = by_name.get(layer.name)
-        if post is None:
-            suffix.append(layer)
-            continue
-        flat = np.stack([sample_layer_weights(post, base.split(t, i))
-                         for t in range(sample_count)])
-        params = dict(layer.params)
-        params.update(post.split_tensors(flat))
-        suffix.append(LayerSpec(layer.name, layer.kind, params,
-                                stride=layer.stride, padding=layer.padding))
-    cut = len(suffix)
-    while cut and suffix[cut - 1].kind in ("linear", "relu"):
-        cut -= 1
-    body, tail = suffix[:cut], suffix[cut:]
-    widest = max((layer.params["weight"].shape[-2] for layer in tail
-                  if layer.kind == "linear"), default=0)
-    chunk = max(1, _CHUNK_VALUES // max(1, inputs[0].size, sample_count * widest))
+        if post is not None:
+            flat = np.stack([sample_layer_weights(post, base.split(t, i))
+                             for t in range(sample_count)])
+            layer = replace(layer, params={**layer.params, **post.split_tensors(flat)})
+        layers.append(layer)
+    cut = next((i for i, layer in enumerate(layers) if layer.kind == "linear"), len(layers))
+    drawn = next((i for i, layer in enumerate(layers) if layer.name in by_name), len(layers))
+    first = min(drawn, cut)
+    prefix, body = layers[:first], layers[first:cut]
+    tail = [layer for layer in layers[cut:] if layer.kind != "flatten"]
+    # an input's outputs have T rows from the first sampled layer on, one before
+    widest = max((layer.params["weight"].shape[-2] * (sample_count if i >= drawn else 1)
+                  for i, layer in enumerate(layers[cut:], cut) if layer.kind == "linear"),
+                 default=0)
+    chunk = max(1, _CHUNK_VALUES // max(1, inputs[0].size, widest))
     passes = []
     for start in range(0, len(inputs), chunk):
-        rows, _ = run_layers(prefix, inputs[start:start + chunk])
-        # one input per pass keeps the body's activations at T rows
-        rows = (np.stack([run_layers(body, row[None])[0] for row in rows])
-                if body else rows[:, None])
+        rows = run_layers(prefix, inputs[start:start + chunk])[0][:, None]
+        # one input per pass keeps the body's activations at T rows; an
+        # empty body's per-input loop would only add call overhead
+        if body:
+            rows = np.stack([run_layers(body, row)[0] for row in rows])
         passes.append(run_layers(tail, rows)[0])
     out = np.concatenate(passes)  # (N, T, ...), or (N, 1, ...) with no draws
     out = np.broadcast_to(out, (len(inputs), sample_count) + out.shape[2:])

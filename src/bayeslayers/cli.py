@@ -10,14 +10,13 @@ ablate-layers).
 """
 
 import argparse
-import copy
 import ctypes
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -325,8 +324,7 @@ def cmd_ablate_layers(cfg: RunConfig, model_path: str, out_dir: str) -> int:
     by_selection = {}
     rows = []
     for policy in POLICIES:
-        sub = copy.deepcopy(cfg)
-        sub.policy = policy
+        sub = replace(cfg, policy=policy)
         key = tuple(select_layers(model, policy))
         if key not in by_selection:
             report, _, _ = evaluate_pairing(model, pairing, sub)

@@ -51,6 +51,9 @@ class Split:
         if not rows or self.labels.shape != rows or not boxes_ok:
             raise ValueError(f"inputs {self.inputs.shape}, labels {self.labels.shape} and boxes "
                              f"{None if self.boxes is None else self.boxes.shape} do not line up")
+        if np.any(self.labels < 0):
+            raise ValueError(f"{self.tag} labels must be non-negative, "
+                             f"got {int(self.labels.min())}")
 
     def __len__(self) -> int:
         return self.labels.shape[0]

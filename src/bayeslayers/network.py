@@ -160,11 +160,11 @@ def _bwd_conv(layer, dout, cache, want_dx):
 
 
 def _fwd_linear(layer, x):
-    """Rows (N, D), or (N, T, D) with one row per input and draw. A plain
-    weight multiplies each (T, D) block as one product, as a pass of one
-    input does. T weight sets (T, out, in) multiply each row on its own:
-    set t meets row t of the last batch axis, and a single row meets all T
-    sets (see forward_batch)."""
+    """Rows (N, D) in training, or (N, T, D) with one row per input and
+    draw, the only form eval sends. A plain weight multiplies each (T, D)
+    block as one product, as a pass of one input does. T weight sets
+    (T, out, in) multiply each row on its own: set t meets row t of the
+    last batch axis, and a single row meets all T sets (see forward_batch)."""
     w, b = layer.params["weight"], layer.params["bias"]
     if x.ndim not in (2, 3):
         raise ShapeError(f"layer {layer.name!r}: expected (N,D) or (N,T,D), got {x.shape}")
@@ -284,8 +284,8 @@ def forward_batch(model: Model, x: np.ndarray, want_caches: bool = False):
     Set t meets batch row t, and a single row meets all T sets, so one
     input comes out as T rows, one per draw. Linear and relu layers also
     take rows (N, T, D), one per input and draw: `bayes.mc_predict` runs
-    the model's trailing linear and relu layers on those through
-    `run_layers` (see `_fwd_linear`).
+    every layer from the first linear layer on over those, the only rows
+    eval hands a linear layer (see `_fwd_linear`).
     """
     x, caches = run_layers(model.layers, x, want_caches)
     return (*split_outputs(model, x), caches)
@@ -521,6 +521,13 @@ def build_model(preset: str, input_shape, class_count: int,
                -> flatten -> linear 64 -> relu -> head
     The head block (final linear stack) sits after backbone_end.
     """
+    shape = tuple(input_shape)
+    cnn = preset == "micro-cnn"
+    # micro-cnn's two pools must each leave a pixel
+    if np.prod(shape) < 1 or cnn and (len(shape) != 3 or min(shape[1:]) < 4):
+        need = ("images (C, H, W) with C >= 1 and H, W >= 4" if cnn
+                else "at least one input value")
+        raise ValueError(f"{preset} cannot take inputs of shape {shape}: it needs {need}")
     rng = Rng(seed)
     head_width = class_count + (4 if has_box_head else 0)
     if preset == "micro-mlp":

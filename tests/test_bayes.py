@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 from scipy.special import gammaincinv
 
-from bayeslayers import bayes
+from bayeslayers import bayes, network
 from bayeslayers.bayes import (GaussianLayerPosterior, SamplerExhaustedError,
                                POLICIES, build_posteriors,
                                chi_square_quantile, mc_predict,
@@ -251,9 +251,9 @@ def test_mc_predict_row_depends_on_its_input_only():
     assert again_boxes.tobytes() == boxes[[2, 0]].tobytes()
 
 
-# selections with a draw-free prefix on micro-cnn: conv1..flatten, then
-# conv1..relu3 (through the unsampled fc1), then conv1..pool1, then the
-# whole model
+# selections with a draw-free prefix on micro-cnn: conv1..flatten for all
+# but conv2-head, whose prefix is conv1..pool1; the prefix never holds a
+# linear layer, so fc1 and the head run in the tail
 PREFIX_CASES = [("linear_all", None), ("none", ["head"]), ("none", ["conv2", "head"]),
                 ("none", None)]
 PREFIX_IDS = ["linear_all", "head", "conv2-head", "none"]
@@ -375,17 +375,18 @@ def test_mc_predict_prefix_matches_per_input_reference_bitwise(policy, layers):
     assert boxes.tobytes() == want_boxes.tobytes()
 
 
-# selections whose tail (the trailing linear/relu run) runs per chunk of
-# inputs: (arch, input shape, policy, layers, widest tail output; 7 classes
-# and 4 box values make the head 11 wide). The mlp tails start at the first
-# sampled layer; conv_all's runs the unsampled fc1, relu3 and head after a
-# body of one input per pass.
-TAIL_CASES = [("micro-mlp", (2,), "linear_all", None, 64),
-              ("micro-mlp", (2,), "none", ["fc1"], 64),
-              ("micro-mlp", (2,), "none", ["head"], 11),
-              ("micro-cnn", (1, 16, 16), "conv_all", None, 64)]
-TAIL_IDS = ["mlp-linear_all", "mlp-fc1", "mlp-head", "cnn-conv_all"]
 TAIL_DRAWS = 4
+# selections whose tail (every layer from fc1 on) runs per chunk of
+# inputs: (arch, input shape, policy, layers, values of the tail's widest
+# output per input). fc1's 64 outputs come as one row per input before the
+# first draw and as T rows after it; with only the head drawn, its 11 x T
+# are fewer. conv_all's tail runs the unsampled fc1, relu3 and head after a
+# body of one input per pass.
+TAIL_CASES = [("micro-mlp", (2,), "linear_all", None, 64 * TAIL_DRAWS),
+              ("micro-mlp", (2,), "none", ["fc1"], 64 * TAIL_DRAWS),
+              ("micro-mlp", (2,), "none", ["head"], 64),
+              ("micro-cnn", (1, 16, 16), "conv_all", None, 64 * TAIL_DRAWS)]
+TAIL_IDS = ["mlp-linear_all", "mlp-fc1", "mlp-head", "cnn-conv_all"]
 
 
 def tail_case(arch, shape, policy, layers, widest, seed):
@@ -393,7 +394,7 @@ def tail_case(arch, shape, policy, layers, widest, seed):
     returns them with the chunk size."""
     model = build_model(arch, shape, 7, has_box_head=True, seed=seed)
     posteriors = build_posteriors(model, select_layers(model, policy, layers), alpha=0.2)
-    chunk = bayes._CHUNK_VALUES // max(int(np.prod(shape)), TAIL_DRAWS * widest)
+    chunk = bayes._CHUNK_VALUES // max(int(np.prod(shape)), widest)
     inputs = np.random.default_rng(seed).uniform(-2, 2, size=(chunk + 2,) + shape)
     return model, posteriors, inputs, chunk
 
@@ -408,6 +409,30 @@ def test_mc_predict_tail_matches_per_input_reference_bitwise(arch, shape, policy
     assert boxes.tobytes() == want_boxes.tobytes()
 
 
+def record_linear_rows(monkeypatch):
+    """The shape of every row array handed to a linear layer, in call order."""
+    seen = []
+    fwd = network._FWD["linear"]
+
+    def recording(layer, x):
+        seen.append(x.shape)
+        return fwd(layer, x)
+
+    monkeypatch.setitem(network._FWD, "linear", recording)
+    return seen
+
+
+@pytest.mark.parametrize("arch,shape,policy,layers,widest", TAIL_CASES, ids=TAIL_IDS)
+def test_mc_predict_tail_chunk_counts_rows_per_input(monkeypatch, arch, shape, policy,
+                                                     layers, widest):
+    # a chunk counts T rows of a tail output only from the first draw on
+    model, posteriors, inputs, chunk = tail_case(arch, shape, policy, layers, widest, 33)
+    seen = record_linear_rows(monkeypatch)
+    mc_predict(model, posteriors, inputs, TAIL_DRAWS, seed=9)
+    batches = [rows[0] for rows in seen]
+    assert max(batches) == chunk and min(batches) == 2, (chunk, batches)
+
+
 @pytest.mark.parametrize("arch,shape,policy,layers,widest", TAIL_CASES, ids=TAIL_IDS)
 def test_mc_predict_tail_row_depends_on_its_input_only(arch, shape, policy,
                                                       layers, widest):
@@ -420,6 +445,74 @@ def test_mc_predict_tail_row_depends_on_its_input_only(arch, shape, policy,
     for i in pick:
         alone, _ = mc_predict(model, posteriors, inputs[i:i + 1], TAIL_DRAWS, seed=9)
         assert alone.tobytes() == logits[i:i + 1].tobytes()
+
+
+def flatten_after_linear_model():
+    """flatten, linear, relu, flatten, linear: the tail drops the second
+    flatten, which meets rows that are already flat."""
+    rng = np.random.default_rng(40)
+    layers = [
+        LayerSpec("flatten_a", "flatten"),
+        LayerSpec("fc", "linear", {"weight": rng.normal(size=(8, 64)),
+                                   "bias": rng.normal(size=8)}),
+        LayerSpec("relu", "relu"),
+        LayerSpec("flatten_b", "flatten"),
+        LayerSpec("head", "linear", {"weight": rng.normal(size=(7, 8)),
+                                     "bias": rng.normal(size=7)}),
+    ]
+    return Model(layers, backbone_end=3, class_count=3, has_box_head=True)
+
+
+def no_linear_model():
+    """conv, max-pool, conv, flatten: no tail, the body ends the model."""
+    rng = np.random.default_rng(41)
+    layers = [
+        LayerSpec("conv_a", "conv2d", {"weight": rng.normal(size=(2, 4, 3, 3)),
+                                       "bias": rng.normal(size=2)}, padding=1),
+        LayerSpec("pool", "maxpool2"),
+        LayerSpec("conv_b", "conv2d", {"weight": rng.normal(size=(7, 2, 2, 2)),
+                                       "bias": rng.normal(size=7)}),
+        LayerSpec("flatten", "flatten"),
+    ]
+    return Model(layers, backbone_end=2, class_count=3, has_box_head=True)
+
+
+# (model, selection): nothing, one layer, every learnable layer. Inputs of
+# 4x4x4 = 64 values make chunks of at most 8 * 28 * 28 // 64 = 98.
+ODD_CASES = [(flatten_after_linear_model, []), (flatten_after_linear_model, ["head"]),
+             (flatten_after_linear_model, ["fc", "head"]), (no_linear_model, []),
+             (no_linear_model, ["conv_b"]), (no_linear_model, ["conv_a", "conv_b"])]
+ODD_IDS = ["flatten-none", "flatten-head", "flatten-all",
+           "nolinear-none", "nolinear-conv_b", "nolinear-all"]
+
+
+@pytest.mark.parametrize("make_model,layers", ODD_CASES, ids=ODD_IDS)
+def test_mc_predict_odd_models_match_per_input_reference_bitwise(make_model, layers):
+    model = make_model()
+    inputs = np.random.default_rng(42).uniform(-1, 1, size=(100, 4, 4, 4))
+    posteriors = build_posteriors(model, layers, alpha=0.2)
+    logits, boxes = mc_predict(model, posteriors, inputs, 4, seed=7)
+    want_logits, want_boxes = per_input_reference(model, posteriors, inputs, 4, 7)
+    assert logits.tobytes() == want_logits.tobytes()
+    assert boxes.tobytes() == want_boxes.tobytes()
+
+
+@pytest.mark.parametrize("arch,shape", [("micro-mlp", (2,)), ("micro-cnn", (1, 16, 16))],
+                         ids=["mlp", "cnn"])
+@pytest.mark.parametrize("policy,layers", [("none", None), ("none", ["head"]),
+                                           ("linear_all", None), ("conv_all", None),
+                                           ("full", None)],
+                         ids=["none", "head", "linear_all", "conv_all", "full"])
+def test_mc_predict_runs_every_linear_layer_on_3d_rows(monkeypatch, arch, shape,
+                                                       policy, layers):
+    # eval cuts at the first linear layer, so every linear product sees rows
+    # (B, T', D), whatever is sampled
+    seen = record_linear_rows(monkeypatch)
+    model = build_model(arch, shape, 3, seed=16)
+    posteriors = build_posteriors(model, select_layers(model, policy, layers), alpha=0.2)
+    inputs = np.random.default_rng(34).uniform(size=(5,) + shape)
+    mc_predict(model, posteriors, inputs, 3, seed=2)
+    assert seen and {len(rows) for rows in seen} == {3}, seen
 
 
 def test_mc_predict_memory_stays_within_its_chunk_budget():

@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from bayeslayers import cli
+from bayeslayers import cli, datasets
 from bayeslayers.bayes import SamplerExhaustedError
 from bayeslayers.network import TrainConfig
 
@@ -228,6 +228,72 @@ def test_malformed_dataset_exits_3_with_one_line(tmp_path, capsys, name, break_d
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("i/o error:"), err
     assert str(data / name) in err[0], err
+
+
+def _negative_labels(directory):
+    """Label 3 of both ID splits becomes -1; the digest goes, so that only
+    the labels themselves can reject the dataset."""
+    data = dict(np.load(directory / "data.npz"))
+    for name in ("id_train_labels", "id_test_labels"):
+        data[name][3] = -1
+    np.savez(directory / "data.npz", **data)
+    manifest = json.loads((directory / "manifest.json").read_text())
+    del manifest["digest"]
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_negative_label_in_saved_dataset_exits_3_with_one_line(tmp_path, capsys, command):
+    argv = [command]
+    if command == "eval":
+        argv += ["--model", train_model(tmp_path, write_config(tmp_path))]
+    data = tmp_path / "data"
+    data.mkdir()
+    assert run(["gen-data", "--config", write_config(tmp_path), "--out", str(data)]) == 0
+    _negative_labels(data)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv += ["--config", write_config(tmp_path, "path.json", dataset={"path": str(data)}),
+             "--out", str(out)]
+    capsys.readouterr()
+    assert run(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error:"), err
+    assert str(data / "data.npz") in err[0] and "non-negative" in err[0], err
+
+
+def _save_inputs(directory, shape):
+    """A saved pairing of four zero inputs of `shape` per split."""
+    def split(tag):
+        return datasets.Split(np.zeros((4,) + shape), [0, 1, 0, 1], tag=tag)
+    datasets.save_pairing(datasets.BenchmarkPairing(split("id"), split("id"), split("ood")),
+                          str(directory))
+
+
+# (id, preset, input shape saved to disk, or None for the config's 2-D blobs)
+PRESET_MISFITS = [("cnn-3x3-images", "micro-cnn", (1, 3, 3)),
+                  ("mlp-no-input-values", "micro-mlp", (0,)),
+                  ("cnn-2d-blobs", "micro-cnn", None)]
+
+
+@pytest.mark.parametrize("preset,shape", [(p, s) for _, p, s in PRESET_MISFITS],
+                         ids=[i for i, _, _ in PRESET_MISFITS])
+def test_preset_that_cannot_take_the_inputs_exits_2_with_one_line(tmp_path, capsys,
+                                                                  preset, shape):
+    overrides = {"architecture": preset}
+    if shape is not None:
+        data = tmp_path / "data"
+        data.mkdir()
+        _save_inputs(data, shape)
+        overrides["dataset"] = {"path": str(data)}
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert run(["train", "--config", write_config(tmp_path, **overrides),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert preset in err[0], err
 
 
 def test_dataset_generator_is_looked_up_when_called(tmp_path, monkeypatch):

@@ -152,6 +152,11 @@ def test_split_rejects_mismatched_rows():
         Split(np.zeros((3, 2)), np.zeros(3), boxes=np.zeros((3, 2)))
 
 
+def test_split_rejects_negative_labels():
+    with pytest.raises(ValueError, match="id labels must be non-negative, got -1"):
+        Split(np.zeros((3, 2)), [0, -1, 2])
+
+
 def test_pairing_load_names_a_malformed_file(tmp_path):
     save_pairing(gen_blobs(10, n_per_class=5), str(tmp_path))
     data = dict(np.load(tmp_path / "data.npz"))
