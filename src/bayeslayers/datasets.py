@@ -189,10 +189,10 @@ def content_digest(pairing: BenchmarkPairing) -> str:
     for split_name, _ in _SPLITS:
         split = getattr(pairing, split_name)
         h.update(split_name.encode())
-        h.update(split.inputs.tobytes())
-        h.update(split.labels.tobytes())
+        h.update(np.ascontiguousarray(split.inputs))
+        h.update(np.ascontiguousarray(split.labels))
         if split.boxes is not None:
-            h.update(split.boxes.tobytes())
+            h.update(np.ascontiguousarray(split.boxes))
     return h.hexdigest()
 
 
@@ -232,13 +232,16 @@ def load_pairing(directory: str) -> BenchmarkPairing:
     with open(data_path, "rb") as fh:
         try:
             data = np.load(fh)
-            splits = [Split(data[f"{name}_inputs"], data[f"{name}_labels"],
-                            data.get(f"{name}_boxes"), tag)
-                      for name, tag in _SPLITS]
+            arrays = [(data[f"{name}_inputs"], data[f"{name}_labels"],
+                       data.get(f"{name}_boxes")) for name, _ in _SPLITS]
         # a file that is not an npz archive fails as one of these, depending
         # on its first bytes; a missing array as a KeyError
         except (EOFError, LookupError, ValueError, zipfile.BadZipFile) as exc:
             raise PersistenceError(f"{data_path}: not a dataset archive: {exc}") from exc
+    try:
+        splits = [Split(*split, tag) for split, (_, tag) in zip(arrays, _SPLITS)]
+    except ValueError as exc:
+        raise PersistenceError(f"{data_path}: invalid dataset content: {exc}") from exc
     digest = manifest.pop("digest", None)
     pairing = BenchmarkPairing(*splits, manifest)
     if digest is not None and content_digest(pairing) != digest:

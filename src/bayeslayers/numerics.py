@@ -7,7 +7,7 @@ silently.
 """
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 
 __all__ = [
     "NumericsError",
@@ -43,11 +43,11 @@ def _mix64(z: int) -> int:
 class Rng:
     """Deterministic, splittable random generator.
 
-    A counter-based Philox stream (256-bit counter) keyed by a SplitMix-style
-    expansion of a 64-bit seed plus the split path. Child generators derived
-    with ``split(*indices)`` depend only on (seed, indices), never on how much
-    of the parent stream has been consumed, so parallel schedules cannot
-    change any draw.
+    A numpy `Generator` over a counter-based Philox stream (256-bit
+    counter), keyed by a SplitMix-style expansion of a 64-bit seed plus the
+    split path. Child generators derived with ``split(*indices)`` depend
+    only on (seed, indices), never on how much of the parent stream has been
+    consumed, so parallel schedules cannot change any draw.
     """
 
     def __init__(self, seed: int, _path: tuple = ()):
@@ -57,7 +57,7 @@ class Rng:
         for w in self._path:
             h = _mix64((h + _GOLDEN + _mix64(w)) & _MASK64)
         key = h | (_mix64((h + _GOLDEN) & _MASK64) << 64)
-        self._bitgen = Philox(key=key)
+        self._gen = Generator(Philox(key=key))
 
     def split(self, *indices: int) -> "Rng":
         """Child generator at the given stream indices, independent of this
@@ -65,16 +65,15 @@ class Rng:
         return Rng(self.seed, self._path + tuple(indices))
 
     def uniforms(self, n: int) -> np.ndarray:
-        """n doubles uniform on (0, 1]."""
-        raw = self._bitgen.random_raw(n)
-        return ((raw >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
+        """n doubles uniform on (0, 1]: the top 53 bits of each raw 64-bit
+        word, plus one, times 2**-53."""
+        return self._gen.random(n) + 2.0 ** -53
 
     def normals(self, n: int) -> np.ndarray:
-        """n standard-normal draws via Box-Muller (cosine branch only, so
-        every draw consumes exactly two uniforms)."""
-        u = self.uniforms(2 * n)
-        r = np.sqrt(-2.0 * np.log(u[0::2]))
-        return r * np.cos(2.0 * np.pi * u[1::2])
+        """n standard-normal draws from numpy's ziggurat sampler. It reads a
+        varying number of raw words per draw, so a stream should serve
+        either normals or uniforms, not both."""
+        return self._gen.standard_normal(n)
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:

@@ -164,3 +164,23 @@ def test_pairing_load_names_a_malformed_file(tmp_path):
     np.savez(tmp_path / "data.npz", **data)
     with pytest.raises(PersistenceError, match="data.npz"):
         load_pairing(str(tmp_path))
+
+
+def test_pairing_load_tells_bad_content_from_a_non_npz_file(tmp_path):
+    save_pairing(gen_blobs(10, n_per_class=5), str(tmp_path))
+    data = dict(np.load(tmp_path / "data.npz"))
+    data["id_train_labels"][0] = -1
+    np.savez(tmp_path / "data.npz", **data)
+    with pytest.raises(PersistenceError, match="data.npz") as exc:
+        load_pairing(str(tmp_path))
+    reason = str(exc.value).split("data.npz: ", 1)[1]
+    assert "non-negative" in reason and "archive" not in reason
+    (tmp_path / "data.npz").write_text("not an archive\n")
+    with pytest.raises(PersistenceError, match="data.npz: not a dataset archive"):
+        load_pairing(str(tmp_path))
+
+
+def test_shapes_content_digest_pinned():
+    # the shapes data draws only Rng.uniforms, so this pins those bits too
+    assert content_digest(gen_shapes(5, n=6)) == (
+        "acd96605743bb14d21406f77e9f09d8eb2185b08964e423720633f876a101daa")

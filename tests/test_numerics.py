@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bayeslayers.bayes import GaussianLayerPosterior, sample_layer_weights
 from bayeslayers.network import LayerSpec, Model, forward_batch
@@ -243,6 +244,29 @@ def test_gauss_sample_rejects_bad_sigma():
         GaussianLayerPosterior("w", np.array([0.0]), 0.0, 0.0)
     with pytest.raises(ValueError, match="sigma"):
         GaussianLayerPosterior("w", np.array([0.0]), -1.0, 0.0)
+
+
+NORMAL_DRAWS = 10 ** 5
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rng_normals_follow_standard_normal(seed):
+    # normals come from numpy's ziggurat, so no bits are pinned: the stream is
+    # held to its law, its tails and the independence of split children
+    z = Rng(seed).normals(NORMAL_DRAWS)
+    assert stats.kstest(z, "norm").pvalue > 1e-3
+    for cut in (3.0, 4.0):
+        lo, hi = stats.binom.interval(1 - 1e-4, NORMAL_DRAWS, 2 * stats.norm.sf(cut))
+        assert lo <= np.count_nonzero(np.abs(z) > cut) <= hi, cut
+    a, b = (Rng(seed).split(i).normals(NORMAL_DRAWS) for i in (0, 1))
+    assert abs(np.corrcoef(a, b)[0, 1]) < 4 / np.sqrt(NORMAL_DRAWS)
+
+
+def test_rng_uniforms_pinned():
+    # the shapes data and the training shuffles are built from these bits
+    want = ["0x1.2365b42b79a16p-2", "0x1.81ba936fca51cp-3",
+            "0x1.a5332ec28bc2dp-1", "0x1.a3bb522e87fa3p-1"]
+    assert [float(u).hex() for u in Rng(42).split(3).uniforms(4)] == want
 
 
 def test_rng_determinism():
