@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .network import Model, LEARNABLE, run_layers, split_outputs
-from .numerics import Rng, softmax
+from .numerics import Rng, ShapeError, softmax
 
 __all__ = [
     "POLICIES",
@@ -32,7 +32,8 @@ POLICIES = ("none", "conv_backbone", "linear_backbone", "conv_all",
 
 
 class SamplerExhaustedError(RuntimeError):
-    """Rejection sampler hit its attempt cap."""
+    """Rejection sampler hit its attempt cap, or an ensemble's draws would
+    expect more normals than the budget."""
 
 
 def select_layers(model: Model, policy: str, layers: list | None = None) -> list:
@@ -203,12 +204,17 @@ def sample_layer_weights(post: GaussianLayerPosterior, rng: Rng) -> np.ndarray:
         f"(q={post.epsilon_quantile})")
 
 
-# Values per input chunk: 8 images of 28x28, or T rows of the tail's widest
-# output when that is more. Peak RSS after a cnn-linear eval: 63.2 MiB at 8
-# images, 65.4 at 16, 69.1 at 32, 83-85 MiB for the whole test set at once.
-# tracemalloc peak of an mlp-ablate linear_all mc_predict: 248 KiB in
-# chunks of 9 blobs, 3,287 KiB with all 300 in one.
+# Values per input chunk: 8 images of 28x28, or fewer inputs when each
+# holds more values on its way through the model (see mc_predict). Peak RSS
+# after a cnn-linear eval: 63.2 MiB at 8 images, 65.4 at 16, 69.1 at 32,
+# 83-85 MiB for the whole test set at once. tracemalloc peak of an
+# mlp-ablate linear_all mc_predict: 248 KiB in chunks of 9 blobs, 3,287 KiB
+# with all 300 in one.
 _CHUNK_VALUES = 8 * 28 * 28
+
+# Normals the rejection sampler may expect to draw for one ensemble, about
+# 4 minutes at 13 ns a normal.
+_NORMAL_BUDGET = 2 ** 34
 
 
 def mc_predict(model: Model, posteriors: list, inputs: np.ndarray,
@@ -218,27 +224,35 @@ def mc_predict(model: Model, posteriors: list, inputs: np.ndarray,
     child generator split at (seed, t, i), so an input's logits depend on
     the seed, the model and that input only.
 
-    The model runs in three parts, cut at its first linear layer, over
-    chunks of inputs that fit in 8 * 28 * 28 values: an input's own values
-    or its rows of the tail's widest output, whichever is more, and at
-    least one input. Per chunk:
-    - the draw-free prefix, the layers before both the first sampled layer
-      and the first linear layer, runs once;
-    - the body, from the first sampled layer up to the first linear layer,
-      runs one input per pass of T rows, one per draw; an empty body
-      leaves each input one row that stands for all T draws;
-    - the tail, every layer from the first linear layer on, runs once on
-      the rows (B, T', D), with flatten left out as the rows are flat.
-      `np.matmul` makes the same products there as a pass of one input: a
-      plain weight one product per input's (T', D) rows, T weight sets one
-      per (input, draw).
-    Returns (logits (N, T, K), boxes (N, T, 4) or None).
+    The whole model runs once per chunk of inputs on rows (B, T', ...), one
+    per input and draw: T' is 1 before the first sampled layer and T from
+    it on. `np.matmul` makes the same products as a pass of one input: a
+    plain weight one product per input's (T', D) rows or patch block, T
+    weight sets one per (input, draw). A chunk holds 8 * 28 * 28 values and
+    at least one input; an input counts its own values, times T when a
+    layer before the first linear layer is sampled, or its rows of the
+    widest linear output, whichever is more.
+    Returns (logits (N, T, K), boxes (N, T, 4) or None). Raises
+    SamplerExhaustedError before any draw when the draws expect more
+    normals than _NORMAL_BUDGET.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     inputs = np.asarray(inputs, dtype=np.float64)
     if len(inputs) < 1:
         raise ValueError("no inputs to predict")
+    # the kernels tell images from flat rows by rank, and a draw axis added
+    # to a sample of any other rank would pass for a channel or a batch axis
+    if inputs.ndim not in (2, 4):
+        raise ShapeError(f"inputs of shape {inputs.shape[1:]} are neither vectors (D,) "
+                         "nor images (C, H, W)")
+    # a layer's draw expects m / (1 - q) normals; refuse before drawing any
+    expected = {p.layer_name: sample_count * p.m / (1.0 - p.epsilon_quantile)
+                for p in posteriors}
+    if sum(expected.values()) > _NORMAL_BUDGET:
+        name = max(expected, key=expected.get)
+        raise SamplerExhaustedError(f"layer {name!r}: {sample_count} draws expect "
+                                    f"{expected[name]:.3g} normals, beyond the budget of 2^34")
     base = Rng(seed)
     by_name = {p.layer_name: p for p in posteriors}
     layers = []
@@ -249,25 +263,17 @@ def mc_predict(model: Model, posteriors: list, inputs: np.ndarray,
                              for t in range(sample_count)])
             layer = replace(layer, params={**layer.params, **post.split_tensors(flat)})
         layers.append(layer)
-    cut = next((i for i, layer in enumerate(layers) if layer.kind == "linear"), len(layers))
+    first_linear = next((i for i, layer in enumerate(layers) if layer.kind == "linear"),
+                        len(layers))
     drawn = next((i for i, layer in enumerate(layers) if layer.name in by_name), len(layers))
-    first = min(drawn, cut)
-    prefix, body = layers[:first], layers[first:cut]
-    tail = [layer for layer in layers[cut:] if layer.kind != "flatten"]
-    # an input's outputs have T rows from the first sampled layer on, one before
+    # an input has T rows from the first sampled layer on, one before it
     widest = max((layer.params["weight"].shape[-2] * (sample_count if i >= drawn else 1)
-                  for i, layer in enumerate(layers[cut:], cut) if layer.kind == "linear"),
-                 default=0)
-    chunk = max(1, _CHUNK_VALUES // max(1, inputs[0].size, widest))
-    passes = []
-    for start in range(0, len(inputs), chunk):
-        rows = run_layers(prefix, inputs[start:start + chunk])[0][:, None]
-        # one input per pass keeps the body's activations at T rows; an
-        # empty body's per-input loop would only add call overhead
-        if body:
-            rows = np.stack([run_layers(body, row)[0] for row in rows])
-        passes.append(run_layers(tail, rows)[0])
-    out = np.concatenate(passes)  # (N, T, ...), or (N, 1, ...) with no draws
+                  for i, layer in enumerate(layers) if layer.kind == "linear"), default=0)
+    values = inputs[0].size * (sample_count if drawn < first_linear else 1)
+    chunk = max(1, _CHUNK_VALUES // max(1, values, widest))
+    out = np.concatenate([run_layers(layers, inputs[start:start + chunk][:, None])[0]
+                          for start in range(0, len(inputs), chunk)])
+    # (N, T, ...), or (N, 1, ...) with no draws
     out = np.broadcast_to(out, (len(inputs), sample_count) + out.shape[2:])
     logits, boxes = split_outputs(model, out.reshape((-1,) + out.shape[2:]))
     shape = (len(inputs), sample_count, -1)

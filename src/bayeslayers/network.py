@@ -127,21 +127,23 @@ class TrainConfig:
 
 def _fwd_conv(layer, x):
     w, b = layer.params["weight"], layer.params["bias"]
-    if x.ndim != 4:
-        raise ShapeError(f"layer {layer.name!r}: expected (N,C,H,W), got {x.shape}")
+    if x.ndim not in (4, 5):
+        raise ShapeError(f"layer {layer.name!r}: expected (N,C,H,W) or (B,T',C,H,W), "
+                         f"got {x.shape}")
     f, c, kh, kw = w.shape[-4:]
-    if x.shape[1] != c:
-        raise ShapeError(f"layer {layer.name!r}: channel mismatch {x.shape[1]} vs {c}")
+    if x.shape[-3] != c:
+        raise ShapeError(f"layer {layer.name!r}: channel mismatch {x.shape[-3]} vs {c}")
     try:
-        cols = im2col(x, kh, kw, layer.stride, layer.padding)
+        cols = im2col(x.reshape((-1,) + x.shape[-3:]), kh, kw, layer.stride, layer.padding)
     except ShapeError as exc:
         raise ShapeError(f"layer {layer.name!r}: {exc}") from exc
-    # w2 is (F, K), or (T, F, K) for sampled weights: kernel set t meets
-    # row t, and a single row meets all T sets
+    cols = cols.reshape(x.shape[:-3] + cols.shape[-2:])
+    # w2 is (F, K), or (T, F, K) for sampled weights, which meet the last
+    # batch axis (see forward_batch)
     w2 = w.reshape(w.shape[:-3] + (-1,))
     out = np.matmul(w2, cols) + b[..., None]
-    ho = (x.shape[2] + 2 * layer.padding - kh) // layer.stride + 1
-    wo = (x.shape[3] + 2 * layer.padding - kw) // layer.stride + 1
+    ho = (x.shape[-2] + 2 * layer.padding - kh) // layer.stride + 1
+    wo = (x.shape[-1] + 2 * layer.padding - kw) // layer.stride + 1
     return out.reshape(out.shape[:-1] + (ho, wo)), (x.shape, cols)
 
 
@@ -160,14 +162,12 @@ def _bwd_conv(layer, dout, cache, want_dx):
 
 
 def _fwd_linear(layer, x):
-    """Rows (N, D) in training, or (N, T, D) with one row per input and
-    draw, the only form eval sends. A plain weight multiplies each (T, D)
-    block as one product, as a pass of one input does. T weight sets
-    (T, out, in) multiply each row on its own: set t meets row t of the
-    last batch axis, and a single row meets all T sets (see forward_batch)."""
+    """A plain weight multiplies each input's rows as one product: (N, D)
+    in training, each (T', D) block of (B, T', D) in eval. T weight sets
+    (T, out, in) multiply each row on its own (see forward_batch)."""
     w, b = layer.params["weight"], layer.params["bias"]
     if x.ndim not in (2, 3):
-        raise ShapeError(f"layer {layer.name!r}: expected (N,D) or (N,T,D), got {x.shape}")
+        raise ShapeError(f"layer {layer.name!r}: expected (N,D) or (B,T',D), got {x.shape}")
     if x.shape[-1] != w.shape[-1]:
         raise ShapeError(
             f"layer {layer.name!r}: input width {x.shape[-1]} vs weight {w.shape}")
@@ -192,25 +192,26 @@ def _bwd_relu(layer, dout, cache, want_dx):
 
 
 def _pool_windows(x, h2, w2):
-    """(N, C, H, W) -> (N, C, h2, 2, w2, 2) view of the 2x2 windows; a
+    """(..., H, W) -> (..., h2, 2, w2, 2) view of the 2x2 windows; a
     trailing odd row or column is dropped. Splitting axes never copies, so
     writes to the result reach x."""
-    return x[:, :, :2 * h2, :2 * w2].reshape(x.shape[:2] + (h2, 2, w2, 2))
+    return x[..., :2 * h2, :2 * w2].reshape(x.shape[:-2] + (h2, 2, w2, 2))
 
 
 def _pool_corners(x, h2, w2):
     """The four corners of x's 2x2 windows in row-major window order,
-    each (N, C, h2, w2)."""
+    each (..., h2, w2)."""
     win = _pool_windows(x, h2, w2)
-    return tuple(win[:, :, :, k // 2, :, k % 2] for k in range(4))
+    return tuple(win[..., k // 2, :, k % 2] for k in range(4))
 
 
 def _fwd_maxpool2(layer, x):
-    if x.ndim != 4:
-        raise ShapeError(f"layer {layer.name!r}: expected (N,C,H,W), got {x.shape}")
-    h2, w2 = x.shape[2] // 2, x.shape[3] // 2
+    if x.ndim not in (4, 5):
+        raise ShapeError(f"layer {layer.name!r}: expected (N,C,H,W) or (B,T',C,H,W), "
+                         f"got {x.shape}")
+    h2, w2 = x.shape[-2] // 2, x.shape[-1] // 2
     if h2 < 1 or w2 < 1:
-        raise ShapeError(f"layer {layer.name!r}: input {x.shape[2]}x{x.shape[3]} too small to pool")
+        raise ShapeError(f"layer {layer.name!r}: input {x.shape[-2]}x{x.shape[-1]} too small to pool")
     c0, c1, c2, c3 = _pool_corners(x, h2, w2)
     # np.maximum returns its second operand on a tie of signed zeros, so
     # passing the earlier corner second yields the first maximum's value
@@ -221,19 +222,21 @@ def _fwd_maxpool2(layer, x):
 
 def _bwd_maxpool2(layer, dout, cache, want_dx):
     x, out = cache
-    h2, w2 = out.shape[2], out.shape[3]
+    h2, w2 = out.shape[-2:]
     c0, c1, c2, _ = _pool_corners(x, h2, w2)
     # index of the first corner holding the maximum: the gradient goes there
     idx = np.where(c0 == out, 0, np.where(c1 == out, 1, np.where(c2 == out, 2, 3)))
     dx = np.zeros(x.shape, dtype=np.float64)
     win = _pool_windows(dx, h2, w2)
     for k in range(4):
-        win[:, :, :, k // 2, :, k % 2] = np.where(idx == k, dout, 0.0)
+        win[..., k // 2, :, k % 2] = np.where(idx == k, dout, 0.0)
     return dx, {}
 
 
 def _fwd_flatten(layer, x):
-    return x.reshape(x.shape[0], -1), x.shape
+    """Merges an image's trailing (C, H, W); flat rows, (N, D) or
+    (B, T', D), pass through."""
+    return (x.reshape(x.shape[:-3] + (-1,)) if x.ndim > 3 else x), x.shape
 
 
 def _bwd_flatten(layer, dout, cache, want_dx):
@@ -280,12 +283,11 @@ def forward_batch(model: Model, x: np.ndarray, want_caches: bool = False):
 
     Returns (logits (N,K), boxes (N,4) or None, caches).
 
-    A sampled layer carries T weight sets on a leading axis of each tensor.
-    Set t meets batch row t, and a single row meets all T sets, so one
-    input comes out as T rows, one per draw. Linear and relu layers also
-    take rows (N, T, D), one per input and draw: `bayes.mc_predict` runs
-    every layer from the first linear layer on over those, the only rows
-    eval hands a linear layer (see `_fwd_linear`).
+    Every kernel takes rows with leading batch axes: (N, ...) here, and
+    (B, T', ...) in `bayes.mc_predict`, one row per input and draw. A
+    sampled layer carries T weight sets on a leading axis of each tensor
+    that meets the last batch axis: set t meets row t, and a single row
+    meets all T sets, so one input comes out as T rows, one per draw.
     """
     x, caches = run_layers(model.layers, x, want_caches)
     return (*split_outputs(model, x), caches)
@@ -450,6 +452,24 @@ class _Reader:
         return vals[0] if len(vals) == 1 else vals
 
 
+def _check_weights(name, kind, params, stride, padding) -> None:
+    """Reject a conv or linear layer that the kernels would misread: a
+    weight of another rank (an extra leading axis would pass for T weight
+    sets), a bias that is not one value per output, or a conv stride or
+    padding that no kernel can slide with."""
+    w, b = params["weight"], params["bias"]
+    rank = 4 if kind == "conv2d" else 2
+    if w.ndim != rank:
+        raise PersistenceError(f"layer {name!r}: {kind} weight must have rank {rank}, "
+                               f"got shape {w.shape}")
+    if b.shape != w.shape[:1]:
+        raise PersistenceError(f"layer {name!r}: bias shape {b.shape} does not match "
+                               f"{w.shape[0]} outputs")
+    if kind == "conv2d" and (stride < 1 or padding >= min(w.shape[2:])):
+        raise PersistenceError(f"layer {name!r}: stride {stride} must be >= 1 and padding "
+                               f"{padding} below the kernel's {w.shape[2]}x{w.shape[3]}")
+
+
 def load_model(path: str) -> Model:
     """Read a BLYR container; tensors come back as float64 (values exactly
     representable in float32, so a re-save is byte-identical)."""
@@ -489,6 +509,8 @@ def load_model(path: str) -> Model:
             raw = r.take(4 * count)
             arr = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float64)
             params[tname] = arr
+        if params:
+            _check_weights(name, kind, params, stride, padding)
         layers.append((name, kind, params, stride, padding))
     if r.pos != len(r.data):
         raise PersistenceError(f"{len(r.data) - r.pos} bytes after the last layer")
@@ -523,10 +545,12 @@ def build_model(preset: str, input_shape, class_count: int,
     """
     shape = tuple(input_shape)
     cnn = preset == "micro-cnn"
-    # micro-cnn's two pools must each leave a pixel
-    if np.prod(shape) < 1 or cnn and (len(shape) != 3 or min(shape[1:]) < 4):
+    # flatten tells images from flat rows by rank, and micro-cnn's two
+    # pools must each leave a pixel
+    if (np.prod(shape) < 1 or len(shape) not in ((3,) if cnn else (1, 3))
+            or cnn and min(shape[1:]) < 4):
         need = ("images (C, H, W) with C >= 1 and H, W >= 4" if cnn
-                else "at least one input value")
+                else "vectors (D,) or images (C, H, W) of at least one value")
         raise ValueError(f"{preset} cannot take inputs of shape {shape}: it needs {need}")
     rng = Rng(seed)
     head_width = class_count + (4 if has_box_head else 0)

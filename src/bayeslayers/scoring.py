@@ -57,8 +57,9 @@ def score_ensemble(logits: np.ndarray, phi: float = 1.0, temperature: float = 1.
         raise ValueError("empty ensemble")
     energies = energy(logits, temperature)
     per_sample = uncertainty_score(energies, phi)
-    # a collapsed ensemble must score exactly like a single pass
-    degenerate = np.all(per_sample == per_sample[..., :1], axis=-1)
+    # a collapsed ensemble, one of identical logits, must score exactly like
+    # a single pass; equal scores alone may be saturated ones
+    degenerate = np.all(logits == logits[..., :1, :], axis=(-2, -1))
     if aggregation == "mean_score":
         score = np.where(degenerate, per_sample[..., 0], per_sample.mean(axis=-1))
     else:

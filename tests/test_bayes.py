@@ -251,19 +251,18 @@ def test_mc_predict_row_depends_on_its_input_only():
     assert again_boxes.tobytes() == boxes[[2, 0]].tobytes()
 
 
-# selections with a draw-free prefix on micro-cnn: conv1..flatten for all
-# but conv2-head, whose prefix is conv1..pool1; the prefix never holds a
-# linear layer, so fc1 and the head run in the tail
+# selections with draw-free leading layers on micro-cnn: conv1..flatten for
+# all but conv2-head, whose draws start at conv2
 PREFIX_CASES = [("linear_all", None), ("none", ["head"]), ("none", ["conv2", "head"]),
                 ("none", None)]
 PREFIX_IDS = ["linear_all", "head", "conv2-head", "none"]
-# 26 inputs of 16x16 cross a boundary between prefix chunks of 24
+# 26 inputs of 16x16 cross a boundary between chunks of 24 (6 for conv2-head)
 PREFIX_INPUTS = (26, 1, 16, 16)
 
 
 @pytest.mark.parametrize("policy,layers", PREFIX_CASES, ids=PREFIX_IDS)
 def test_mc_predict_prefixed_row_depends_on_its_input_only(policy, layers):
-    # the prefix runs per chunk of inputs, yet a row does not see its chunk
+    # the model runs per chunk of inputs, yet a row does not see its chunk
     model = build_model("micro-cnn", (1, 16, 16), 3, has_box_head=True, seed=12)
     inputs = np.random.default_rng(25).uniform(size=PREFIX_INPUTS)
     posteriors = build_posteriors(model, select_layers(model, policy, layers), alpha=0.2)
@@ -279,7 +278,10 @@ def test_mc_predict_prefix_errors():
     posteriors = build_posteriors(model, select_layers(model, "linear_all"), alpha=0.2)
     with pytest.raises(ShapeError, match="'conv1'"):
         mc_predict(model, posteriors, np.zeros((2, 64)), 3)
-    # an overflow in the prefix stays quiet until the output check
+    # rank-2 samples would have their draw axis read as a channel
+    with pytest.raises(ShapeError, match="neither vectors"):
+        mc_predict(model, posteriors, np.zeros((2, 8, 8)), 3)
+    # an overflow in conv1 stays quiet until the output check
     x = np.full((2, 1, 8, 8), 1e308)
     assert not np.all(np.isfinite(run_layers(model.layers[:1], x)[0]))
     with warnings.catch_warnings():
@@ -342,7 +344,7 @@ def per_draw_reference(model, posteriors, inputs, sample_count, seed):
 def per_input_reference(model, posteriors, inputs, sample_count, seed):
     """The whole network one input per pass, each sampled layer carrying
     all T draws from the split(t, i) streams: mc_predict without its
-    chunked prefix and tail. Returns logits (N, T, K) and boxes (N, T, 4)."""
+    chunks. Returns logits (N, T, K) and boxes (N, T, 4)."""
     by_name = {p.layer_name: p for p in posteriors}
     layers = []
     for i, layer in enumerate(model.layers):
@@ -376,16 +378,15 @@ def test_mc_predict_prefix_matches_per_input_reference_bitwise(policy, layers):
 
 
 TAIL_DRAWS = 4
-# selections whose tail (every layer from fc1 on) runs per chunk of
-# inputs: (arch, input shape, policy, layers, values of the tail's widest
-# output per input). fc1's 64 outputs come as one row per input before the
-# first draw and as T rows after it; with only the head drawn, its 11 x T
-# are fewer. conv_all's tail runs the unsampled fc1, relu3 and head after a
-# body of one input per pass.
+# selections whose linear layers run per chunk of inputs: (arch, input
+# shape, policy, layers, values an input counts in a chunk). fc1's 64
+# outputs come as one row per input before the first draw and as T rows
+# after it; with only the head drawn, its 11 x T are fewer. conv_all
+# samples before the first linear layer, so its 16 x 16 input counts T times.
 TAIL_CASES = [("micro-mlp", (2,), "linear_all", None, 64 * TAIL_DRAWS),
               ("micro-mlp", (2,), "none", ["fc1"], 64 * TAIL_DRAWS),
               ("micro-mlp", (2,), "none", ["head"], 64),
-              ("micro-cnn", (1, 16, 16), "conv_all", None, 64 * TAIL_DRAWS)]
+              ("micro-cnn", (1, 16, 16), "conv_all", None, 16 * 16 * TAIL_DRAWS)]
 TAIL_IDS = ["mlp-linear_all", "mlp-fc1", "mlp-head", "cnn-conv_all"]
 
 
@@ -425,7 +426,7 @@ def record_linear_rows(monkeypatch):
 @pytest.mark.parametrize("arch,shape,policy,layers,widest", TAIL_CASES, ids=TAIL_IDS)
 def test_mc_predict_tail_chunk_counts_rows_per_input(monkeypatch, arch, shape, policy,
                                                      layers, widest):
-    # a chunk counts T rows of a tail output only from the first draw on
+    # a chunk counts T rows of an output only from the first draw on
     model, posteriors, inputs, chunk = tail_case(arch, shape, policy, layers, widest, 33)
     seen = record_linear_rows(monkeypatch)
     mc_predict(model, posteriors, inputs, TAIL_DRAWS, seed=9)
@@ -448,8 +449,8 @@ def test_mc_predict_tail_row_depends_on_its_input_only(arch, shape, policy,
 
 
 def flatten_after_linear_model():
-    """flatten, linear, relu, flatten, linear: the tail drops the second
-    flatten, which meets rows that are already flat."""
+    """flatten, linear, relu, flatten, linear: the second flatten meets
+    rows that are already flat and passes them through."""
     rng = np.random.default_rng(40)
     layers = [
         LayerSpec("flatten_a", "flatten"),
@@ -464,7 +465,7 @@ def flatten_after_linear_model():
 
 
 def no_linear_model():
-    """conv, max-pool, conv, flatten: no tail, the body ends the model."""
+    """conv, max-pool, conv, flatten: no linear layer at all."""
     rng = np.random.default_rng(41)
     layers = [
         LayerSpec("conv_a", "conv2d", {"weight": rng.normal(size=(2, 4, 3, 3)),

@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from bayeslayers import cli, datasets
 from bayeslayers.bayes import SamplerExhaustedError
-from bayeslayers.network import TrainConfig
+from bayeslayers.network import TrainConfig, build_model, save_model
 
 
 BLOBS_CONFIG = {
@@ -273,6 +274,7 @@ def _save_inputs(directory, shape):
 # (id, preset, input shape saved to disk, or None for the config's 2-D blobs)
 PRESET_MISFITS = [("cnn-3x3-images", "micro-cnn", (1, 3, 3)),
                   ("mlp-no-input-values", "micro-mlp", (0,)),
+                  ("mlp-4x4-samples", "micro-mlp", (4, 4)),
                   ("cnn-2d-blobs", "micro-cnn", None)]
 
 
@@ -604,6 +606,38 @@ def test_retired_kind_code_in_model_exits_3_with_one_line(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("i/o error:"), (case, err)
 
 
+def _reshape_weight(layer):
+    layer.params["weight"] = layer.params["weight"].reshape(16, 8, 9)
+
+
+# (id, layer, flaw) of a saved micro-cnn
+MALFORMED_LAYERS = [("stride-0", "conv1", lambda layer: setattr(layer, "stride", 0)),
+                    ("padding-100000", "conv1",
+                     lambda layer: setattr(layer, "padding", 100000)),
+                    ("head-bias-of-2", "head",
+                     lambda layer: layer.params.update(bias=np.zeros(2))),
+                    ("rank-3-conv-weight", "conv2", _reshape_weight)]
+
+
+@pytest.mark.parametrize("name,flaw", [(n, f) for _, n, f in MALFORMED_LAYERS],
+                         ids=[i for i, _, _ in MALFORMED_LAYERS])
+def test_malformed_layer_in_model_exits_3_naming_it(tmp_path, capsys, name, flaw):
+    data = tmp_path / "data"
+    data.mkdir()
+    _save_inputs(data, (1, 8, 8))
+    model = build_model("micro-cnn", (1, 8, 8), 3, seed=0)
+    flaw(model.layer(name))
+    path = tmp_path / "model.blyr"
+    save_model(model, str(path))
+    config = write_config(tmp_path, architecture="micro-cnn", dataset={"path": str(data)})
+    out = tmp_path / "eval"
+    out.mkdir()
+    capsys.readouterr()
+    assert run(["eval", "--config", config, "--model", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"i/o error: layer {name!r}:"), err
+
+
 def _no_c_library(name):
     raise OSError("cannot load the C library")
 
@@ -613,6 +647,21 @@ def _no_c_library(name):
 def test_keep_freed_memory_is_quiet_without_mallopt(monkeypatch, cdll):
     monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
     assert cli._keep_freed_memory() is None
+
+
+def test_sampler_work_beyond_its_budget_exits_5_at_once(tmp_path, capsys):
+    # at q = 1 - 1e-9 each accepted draw expects 1e9 attempts
+    config = write_config(tmp_path, q=1 - 1e-9)
+    model = train_model(tmp_path, config)
+    out = tmp_path / "eval"
+    out.mkdir()
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run(["eval", "--config", config, "--model", model, "--out", str(out)]) == 5
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.splitlines()
+    # the head's 195 parameters expect more normals than fc1's 192
+    assert len(err) == 1 and err[0].startswith("sampler exhausted: layer 'head':"), err
 
 
 def test_sampler_exhaustion_exits_5(tmp_path, monkeypatch):

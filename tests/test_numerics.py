@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bayeslayers import network
 from bayeslayers.bayes import GaussianLayerPosterior, sample_layer_weights
 from bayeslayers.network import LayerSpec, Model, forward_batch
 from bayeslayers.numerics import Rng, ShapeError, log_sum_exp, softmax
@@ -173,6 +174,12 @@ def test_max_pool2_odd_extents_floor():
 def test_flatten_preserves_count():
     x = np.zeros((3, 4, 5))
     assert run_layers([LayerSpec("flatten", "flatten")], x[None], 60)[0].shape == (60,)
+    # eval's rows (B, T', C, H, W) merge the image; flat rows pass through
+    for shape, want in [((2, 3, 3, 4, 5), (2, 3, 60)), ((7, 60), (7, 60)),
+                        ((2, 3, 60), (2, 3, 60))]:
+        x = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+        out, _ = network.run_layers([LayerSpec("flatten", "flatten")], x)
+        assert out.shape == want and out.tobytes() == x.tobytes()
 
 
 def test_log_sum_exp_zeros():

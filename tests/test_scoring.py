@@ -93,6 +93,14 @@ def test_score_ensemble_identical_samples_zero_std():
     assert score_std == 0.0
 
 
+def test_score_ensemble_saturated_scores_are_not_a_collapse():
+    # both draws' scores clip to 1 - 2^-53, yet their energies differ
+    logits = np.array([[40.0, 0.0], [41.0, 0.0]])
+    score, score_std, energy_mean = score_ensemble(logits)
+    assert score == 1.0 - 2.0 ** -53 and score_std == 0.0
+    assert energy_mean == -40.5
+
+
 def test_score_ensemble_empty():
     with pytest.raises(ValueError):
         score_ensemble(np.zeros((0, 2)))
