@@ -206,8 +206,10 @@ def sample_layer_weights(post: GaussianLayerPosterior, rng: Rng) -> np.ndarray:
 
 # Values per input chunk: 8 images of 28x28, or fewer inputs when each
 # holds more values on its way through the model (see mc_predict). Peak RSS
-# after a cnn-linear eval: 63.2 MiB at 8 images, 65.4 at 16, 69.1 at 32,
-# 83-85 MiB for the whole test set at once. tracemalloc peak of an
+# of a gen-data, train and cnn-linear eval process: 44.8 MiB at 8 images,
+# 46.8 at 16, 51.7 at 32, 69.2 for the whole test set at once. conv_all at
+# T 10 runs one image per chunk; chunks of 1, 2, 3, 4 and 8 images ran its
+# mc_predict in 54.6, 56.5, 59.0, 55.7 and 57.2 ms. tracemalloc peak of an
 # mlp-ablate linear_all mc_predict: 248 KiB in chunks of 9 blobs, 3,287 KiB
 # with all 300 in one.
 _CHUNK_VALUES = 8 * 28 * 28

@@ -11,6 +11,7 @@ ablate-layers).
 
 import argparse
 import ctypes
+import functools
 import json
 import math
 import os
@@ -399,7 +400,10 @@ def cmd_report(paths: list, out_dir: str | None) -> int:
 # argument parsing / entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: a build costs about ten parses, and parsing
+    leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="bayeslayers",
         description="Bayesian-layer OOD detection benchmark runner")

@@ -141,7 +141,8 @@ def _fwd_conv(layer, x):
     # w2 is (F, K), or (T, F, K) for sampled weights, which meet the last
     # batch axis (see forward_batch)
     w2 = w.reshape(w.shape[:-3] + (-1,))
-    out = np.matmul(w2, cols) + b[..., None]
+    out = np.matmul(w2, cols)
+    out += b[..., None]
     ho = (x.shape[-2] + 2 * layer.padding - kh) // layer.stride + 1
     wo = (x.shape[-1] + 2 * layer.padding - kw) // layer.stride + 1
     return out.reshape(out.shape[:-1] + (ho, wo)), (x.shape, cols)
@@ -183,12 +184,15 @@ def _bwd_linear(layer, dout, cache, want_dx):
 
 
 def _fwd_relu(layer, x):
-    mask = x > 0
-    return x * mask, mask
+    # np.maximum returns its second operand on a tie of signed zeros, so
+    # -0.0 maps to +0.0; NaN stays NaN. The output is its own cache: it is
+    # positive exactly where x is.
+    out = np.maximum(x, 0.0)
+    return out, out
 
 
 def _bwd_relu(layer, dout, cache, want_dx):
-    return dout * cache, {}
+    return dout * (cache > 0), {}
 
 
 def _pool_windows(x, h2, w2):
@@ -198,13 +202,6 @@ def _pool_windows(x, h2, w2):
     return x[..., :2 * h2, :2 * w2].reshape(x.shape[:-2] + (h2, 2, w2, 2))
 
 
-def _pool_corners(x, h2, w2):
-    """The four corners of x's 2x2 windows in row-major window order,
-    each (..., h2, w2)."""
-    win = _pool_windows(x, h2, w2)
-    return tuple(win[..., k // 2, :, k % 2] for k in range(4))
-
-
 def _fwd_maxpool2(layer, x):
     if x.ndim not in (4, 5):
         raise ShapeError(f"layer {layer.name!r}: expected (N,C,H,W) or (B,T',C,H,W), "
@@ -212,24 +209,35 @@ def _fwd_maxpool2(layer, x):
     h2, w2 = x.shape[-2] // 2, x.shape[-1] // 2
     if h2 < 1 or w2 < 1:
         raise ShapeError(f"layer {layer.name!r}: input {x.shape[-2]}x{x.shape[-1]} too small to pool")
-    c0, c1, c2, c3 = _pool_corners(x, h2, w2)
-    # np.maximum returns its second operand on a tie of signed zeros, so
-    # passing the earlier corner second yields the first maximum's value
-    out = np.maximum(np.maximum(c3, c2), np.maximum(c1, c0))
-    # the argmax only the backward reads is derived there from x and out
+    win = _pool_windows(x, h2, w2)
+    # columns, then rows. np.maximum returns its second operand on a tie of
+    # signed zeros, so passing the earlier operand second yields the first
+    # maximum's value: max(max(d, c), max(b, a)) for the window [[a, b], [c, d]]
+    cols = np.maximum(win[..., 1], win[..., 0])
+    out = np.maximum(cols[..., 1, :], cols[..., 0, :])
+    # where the maximum sits, which only the backward reads, is found there
     return out, (x, out)
 
 
 def _bwd_maxpool2(layer, dout, cache, want_dx):
+    """Routes each window's gradient to its first corner, in row-major
+    order, that equals the output, or to its last corner when none does (a
+    NaN window): to a row first, then to a column. The other corners get
+    dout * 0, a zero of dout's sign."""
     x, out = cache
     h2, w2 = out.shape[-2:]
-    c0, c1, c2, _ = _pool_corners(x, h2, w2)
-    # index of the first corner holding the maximum: the gradient goes there
-    idx = np.where(c0 == out, 0, np.where(c1 == out, 1, np.where(c2 == out, 2, 3)))
+    win = _pool_windows(x, h2, w2)
+    # the top row when its larger corner equals out, else the bottom one
+    top = np.maximum(win[..., 0, :, 1], win[..., 0, :, 0]) == out
+    drows = np.empty(out.shape[:-1] + (2, w2))
+    np.multiply(dout, top, out=drows[..., 0, :])
+    np.multiply(dout, ~top, out=drows[..., 1, :])
+    # in each row, the left corner when it equals out, else the right one
+    left = win[..., 0] == out[..., None, :]
     dx = np.zeros(x.shape, dtype=np.float64)
-    win = _pool_windows(dx, h2, w2)
-    for k in range(4):
-        win[..., k // 2, :, k % 2] = np.where(idx == k, dout, 0.0)
+    dwin = _pool_windows(dx, h2, w2)
+    np.multiply(drows, left, out=dwin[..., 0])
+    np.multiply(drows, ~left, out=dwin[..., 1])
     return dx, {}
 
 
@@ -312,10 +320,11 @@ def loss_and_gradients(model: Model, inputs: np.ndarray, labels: np.ndarray,
     logits, pred_boxes, caches = forward_batch(model, inputs, want_caches=True)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = float(-log_probs[np.arange(n), labels].mean())
-    probs = np.exp(log_probs)
-    dlogits = probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
+    rows = np.arange(n)
+    # sum / n is the bits of .mean(), without its overhead
+    loss = float(-log_probs[rows, labels].sum() / n)
+    dlogits = np.exp(log_probs)
+    dlogits[rows, labels] -= 1.0
     dlogits /= n
     if model.has_box_head:
         if boxes is None:
@@ -364,10 +373,22 @@ def train_sgd(model: Model, dataset, cfg: TrainConfig):
     boxes = dataset.boxes if model.has_box_head else None
     n = inputs.shape[0]
     rng = Rng(cfg.seed)
-    velocity = {
-        l.name: {k: np.zeros_like(l.params[k]) for k in LEARNABLE[l.kind]}
-        for l in model.layers if LEARNABLE[l.kind]
-    }
+    # every learnable tensor becomes a view into one flat buffer, beside a
+    # flat velocity buffer, so that a step updates them all in one pass
+    slots = [(layer, name) for layer in model.layers for name in LEARNABLE[layer.kind]]
+    theta = np.zeros(sum(layer.params[name].size for layer, name in slots))
+    velocity = np.zeros_like(theta)
+    velocity_views = {}
+    weights = []
+    pos = 0
+    for layer, name in slots:
+        shape, end = layer.params[name].shape, pos + layer.params[name].size
+        theta[pos:end] = layer.params[name].reshape(-1)
+        layer.params[name] = theta[pos:end].reshape(shape)
+        velocity_views[layer.name, name] = velocity[pos:end].reshape(shape)
+        if name == "weight":
+            weights.append(layer.params[name])
+        pos = end
     curve = []
     for epoch in range(cfg.epochs):
         order = np.argsort(rng.split(epoch).uniforms(n), kind="stable")
@@ -385,17 +406,16 @@ def train_sgd(model: Model, dataset, cfg: TrainConfig):
                     f"diverged at epoch {epoch}, batch {batches}: {exc}") from exc
             epoch_loss += loss
             batches += 1
+            # every learnable layer gets a gradient: the backward reaches
+            # the first of them
+            velocity *= cfg.momentum
             for lname, g in grads.items():
-                layer = model.layer(lname)
                 for pname, grad in g.items():
-                    v = velocity[lname][pname]
-                    v *= cfg.momentum
-                    v += grad
-                    layer.params[pname] = layer.params[pname] - cfg.learning_rate * v
-                    if cfg.weight_decay and pname == "weight":
-                        layer.params[pname] = (
-                            layer.params[pname]
-                            - cfg.learning_rate * cfg.weight_decay * layer.params[pname])
+                    velocity_views[lname, pname] += grad
+            theta -= cfg.learning_rate * velocity
+            if cfg.weight_decay:
+                for w in weights:
+                    w -= cfg.learning_rate * cfg.weight_decay * w
         curve.append(epoch_loss / batches)
         if not np.isfinite(curve[-1]):
             raise TrainingDivergedError(f"diverged at epoch {epoch}: loss {curve[-1]}")

@@ -405,6 +405,24 @@ def test_seed_flag_overrides_config(tmp_path):
     assert manifest["seed"] == 3
 
 
+def test_successive_main_calls_keep_their_exit_codes(tmp_path):
+    # one process runs many commands on one parser: a malformed argv must
+    # not change how the next one parses, nor a flag leak into it
+    config = write_config(tmp_path)
+    outs = [tmp_path / name for name in ("d1", "d2", "train")]
+    for out in outs:
+        out.mkdir()
+    assert run(["gen-data", "--config", config, "--out", str(outs[0]), "--seed", "3"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["gen-data", "--config", config, "--seed", "x"])
+    assert exc.value.code == 2
+    assert run(["gen-data", "--config", config, "--out", str(outs[1])]) == 0
+    assert run(["train", "--config", config, "--out", str(tmp_path / "nope")]) == 3
+    assert run(["train", "--config", config, "--out", str(outs[2])]) == 0
+    seeds = [json.loads((out / "manifest.json").read_text())["seed"] for out in outs[:2]]
+    assert seeds == [3, 0]
+
+
 def test_calibrate_gamma_equals_eval_gamma_from_id_inputs_only(tmp_path, monkeypatch):
     config = write_config(tmp_path)
     model = train_model(tmp_path, config)

@@ -9,7 +9,7 @@ from bayeslayers.network import (LayerSpec, Model, PersistenceError,
                                  TrainConfig, TrainingDivergedError,
                                  build_model, forward_batch, load_model,
                                  loss_and_gradients, save_model, train_sgd)
-from bayeslayers.numerics import ShapeError, col2im, softmax
+from bayeslayers.numerics import Rng, ShapeError, col2im, softmax
 
 
 def linear_layer(name, weight, bias):
@@ -106,7 +106,7 @@ def test_forward_golden_after_training():
     # Python 3.11.7, numpy 2.4.6 / OpenBLAS 0.3.31 with AVX-512, where they
     # reproduce bit for bit at 1 and 2 BLAS threads. The He init draws from
     # numpy's ziggurat normals, so they also depend on numpy's Generator.
-    # Reduction order in einsum, sums and BLAS GEMM differs between builds
+    # Reduction order in sums and BLAS matrix products differs between builds
     # and SIMD targets, so another build reproduces them only to within a few
     # ulps: the earlier reference, captured under Python 3.10 on another
     # build, reproduced here to within 20 ulps (3.0e-14 abs, 3.2e-15 rel), at
@@ -139,6 +139,100 @@ def test_train_sgd_repeatable_bit_exact():
             assert np.array_equal(a.params[k], b.params[k]), f"{a.name}.{k}"
     assert np.array_equal(l1, l2)
     assert np.array_equal(b1, b2)
+
+
+def test_relu_special_values():
+    x = np.array([-np.inf, np.nan, -0.0, 0.0, -2.0, 3.0, np.inf])
+    out, _ = network.run_layers([LayerSpec("relu", "relu")], x[None])
+    out = out[0]
+    assert out[0] == 0.0 and not np.signbit(out[0])
+    assert np.isnan(out[1])
+    assert out[2] == 0.0 and not np.signbit(out[2])
+    assert np.array_equal(out[3:], [0.0, 0.0, 3.0, np.inf])
+
+
+def relu_reference(x, dout):
+    """Per-value relu: x where x > 0, +0.0 elsewhere but NaN; the gradient
+    passes where x > 0."""
+    out = np.array([v if v > 0 or np.isnan(v) else 0.0 for v in x.reshape(-1)])
+    dx = np.array([d if v > 0 else 0.0 for v, d in zip(x.reshape(-1), dout.reshape(-1))])
+    return out.reshape(x.shape), dx.reshape(x.shape)
+
+
+def maxpool_reference(x, dout):
+    """Per-window max-pool: each 2x2 window's first maximum in row-major
+    order (NaN if it holds one), and its gradient at the first corner equal
+    to that maximum, or at the last corner when none is."""
+    h2, w2 = x.shape[-2] // 2, x.shape[-1] // 2
+    out = np.empty(x.shape[:-2] + (h2, w2))
+    dx = np.zeros(x.shape)
+    for *lead, i, j in np.ndindex(*out.shape):
+        corners = [(*lead, 2 * i + k // 2, 2 * j + k % 2) for k in range(4)]
+        values = [x[c] for c in corners]
+        top = np.nan if np.isnan(values).any() else max(values)
+        out[(*lead, i, j)] = top
+        k = next((k for k, v in enumerate(values) if v == top), 3)
+        dx[corners[k]] = dout[(*lead, i, j)]
+    return out, dx
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 6, 8), (2, 2, 5, 7), (2, 3, 2, 4, 6), (1, 1, 3, 3, 5)],
+                         ids=["NCHW", "NCHW-odd", "BTCHW", "BTCHW-odd"])
+def test_relu_and_maxpool_match_a_per_value_reference(shape):
+    rng = np.random.default_rng(14)
+    # few distinct values, so windows tie, signed zeros meet and NaN and
+    # infinities turn up
+    values = np.array([-np.inf, -1.5, -0.0, 0.0, 0.5, 0.5, 2.0, np.inf, np.nan])
+    x = rng.choice(values, size=shape)
+    for kind, reference in (("relu", relu_reference), ("maxpool2", maxpool_reference)):
+        layer = LayerSpec(kind, kind)
+        out, caches = network.run_layers([layer], x, want_caches=True)
+        dout = rng.normal(size=out.shape)
+        dx, _ = network._BWD[kind](layer, dout, caches[0], True)
+        ref_out, ref_dx = reference(x, dout)
+        assert np.array_equal(out, ref_out, equal_nan=True), kind
+        assert np.array_equal(np.signbit(out), np.signbit(ref_out)), kind
+        assert np.array_equal(dx, ref_dx), kind
+
+
+def test_train_sgd_steps_match_the_per_tensor_formula(tmp_path):
+    # two steps of one epoch: momentum first shows in the second
+    rng = np.random.default_rng(15)
+    data = Split(rng.normal(size=(6, 1, 6, 6)), rng.integers(0, 3, size=6),
+                 rng.uniform(0, 3, size=(6, 4)))
+    cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=3, momentum=0.9,
+                      weight_decay=0.1, seed=4, box_loss_weight=0.5)
+    expected = build_model("micro-cnn", (1, 6, 6), 3, has_box_head=True, seed=0)
+    order = np.argsort(Rng(cfg.seed).split(0).uniforms(6), kind="stable")
+    velocity = {}
+    for idx in (order[:3], order[3:]):
+        _, grads = loss_and_gradients(expected, data.inputs[idx], data.labels[idx],
+                                      data.boxes[idx], cfg.box_loss_weight)
+        for lname, g in grads.items():
+            params = expected.layer(lname).params
+            for pname, grad in g.items():
+                v = velocity.setdefault((lname, pname), np.zeros_like(grad))
+                v *= cfg.momentum
+                v += grad
+                params[pname] = params[pname] - cfg.learning_rate * v
+                if pname == "weight":
+                    params[pname] = (params[pname] - cfg.learning_rate * cfg.weight_decay
+                                     * params[pname])
+    model, _ = train_sgd(build_model("micro-cnn", (1, 6, 6), 3, has_box_head=True, seed=0),
+                         data, cfg)
+    for got, want in zip(model.layers, expected.layers, strict=True):
+        for pname, value in want.params.items():
+            assert got.params[pname].shape == value.shape, f"{got.name}.{pname}"
+            assert got.params[pname].tobytes() == value.tobytes(), f"{got.name}.{pname}"
+    # the formula leaves biases undecayed; decaying them would show
+    bias = expected.layer("head").params["bias"]
+    assert not np.array_equal(bias - cfg.learning_rate * cfg.weight_decay * bias, bias)
+    # the trained tensors save and load like any others
+    path = str(tmp_path / "model.blyr")
+    save_model(model, path)
+    for got, saved in zip(model.layers, load_model(path).layers, strict=True):
+        for pname, value in got.params.items():
+            assert np.array_equal(value.astype(np.float32), saved.params[pname])
 
 
 def test_cross_entropy_uniform():
